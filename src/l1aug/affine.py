@@ -52,15 +52,6 @@ class AffineModel:
         jac = self.model.jacobian_u(x, self.ubar)
         return f_anchor, jac
 
-    def offset(self, x: Array) -> Array:
-        """g(x): the input-independent part of the expansion."""
-        f_anchor, jac = self.parts(x)
-        return f_anchor - jac @ self.ubar
-
-    def input_gain(self, x: Array) -> Array:
-        """h(x): the (n, m) input channel of the expansion."""
-        return self.model.jacobian_u(x, self.ubar)
-
     def predict(self, x: Array, u: Array) -> Array:
         """g(x) + h(x) u, exact at u = ubar."""
         f_anchor, jac = self.parts(x)
@@ -73,10 +64,6 @@ def affinize(model: object, ubar: Array) -> AffineModel:
     if not np.all(np.isfinite(ubar)):
         raise ValueError("affinize: anchor input must be finite")
     return AffineModel(model=model, ubar=ubar.copy())
-
-
-def eval_affine(am: AffineModel, x: Array, u: Array) -> Array:
-    return am.predict(x, u)
 
 
 def switching_check(am: AffineModel, x: Array, u: Array, eps_a: float) -> SwitchDecision:

@@ -18,8 +18,10 @@ import math
 import os
 import sys
 import traceback
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import click
@@ -39,7 +41,7 @@ from .mbrl import (
     run_episode,
     train_loop,
 )
-from .verify import check_assumption_bound, make_synthetic_spec, run_ts_grid
+from .verify import check_assumption_bound, grid_l1_configs, make_synthetic_spec, run_ts_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -53,6 +55,9 @@ EPS_A_DEFAULTS = {"cartpole": 1.0, "pendulum": 0.3, "double_integrator": 0.3}
 
 
 # --- Config schema ----------------------------------------------------------
+#
+# The disturbance, mpc and loop sections are the library's own dataclasses, so
+# the loader checks their values with the same rules the library applies.
 
 
 @dataclass
@@ -62,16 +67,9 @@ class EnvSection:
 
 
 @dataclass
-class DistSection:
-    kind: str = "none"
-    amplitude: float = 0.0
-    frequency: float = 0.0
-    sigma_a: float = 0.0
-    sigma_o: float = 0.0
-
-
-@dataclass
 class ModelSection:
+    """Ensemble shape plus the TrainOptions fields a config may set (not the seed)."""
+
     members: int = 3
     hidden: list = field(default_factory=lambda: [64, 64])
     lr: float = 1e-3
@@ -81,11 +79,9 @@ class ModelSection:
     val_fraction: float = 0.2
     min_rows: int = 64
 
-
-@dataclass
-class MpcSection:
-    horizon: int = 15
-    n_candidates: int = 256
+    def __post_init__(self):
+        if self.members < 1 or not all(isinstance(w, int) and w >= 1 for w in self.hidden):
+            raise ValueError("need members >= 1 and hidden a list of positive integer widths")
 
 
 @dataclass
@@ -96,28 +92,17 @@ class L1Section:
 
 
 @dataclass
-class LoopSection:
-    iterations: int = 5
-    episodes_per_iteration: int = 3
-    eval_episodes: int = 2
-    l1_train: bool = True
-    l1_test: bool = True
-    l1_warmup_iterations: int = 0
-
-
-@dataclass
 class RunConfig:
     name: str = "run"
     env: EnvSection = field(default_factory=EnvSection)
-    disturbance: DistSection = field(default_factory=DistSection)
+    disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
     model: ModelSection = field(default_factory=ModelSection)
-    mpc: MpcSection = field(default_factory=MpcSection)
+    mpc: MpcConfig = field(default_factory=MpcConfig)
     l1: L1Section = field(default_factory=L1Section)
-    loop: LoopSection = field(default_factory=LoopSection)
+    loop: LoopConfig = field(default_factory=LoopConfig)
     seeds: list = field(default_factory=lambda: [0])
     out: str | None = None
     ablation_grid: bool = False
-    report_window: int = 5
 
 
 @dataclass
@@ -143,9 +128,9 @@ class CompareConfig:
     env: EnvSection = field(default_factory=EnvSection)
     scenarios: list = field(default_factory=lambda: [{"kind": "none"}])
     model: ModelSection = field(default_factory=ModelSection)
-    mpc: MpcSection = field(default_factory=MpcSection)
+    mpc: MpcConfig = field(default_factory=MpcConfig)
     l1: L1Section = field(default_factory=L1Section)
-    loop: LoopSection = field(default_factory=LoopSection)
+    loop: LoopConfig = field(default_factory=LoopConfig)
     sim_to_real: bool = False
     eval_episodes: int = 4
     seeds: list = field(default_factory=lambda: [0])
@@ -153,29 +138,32 @@ class CompareConfig:
     report_window: int = 5
 
 
-_SECTION_TYPES = {EnvSection, DistSection, ModelSection, MpcSection, L1Section, LoopSection, SyntheticSection}
+@contextmanager
+def _config_section(path: str):
+    """Report a ValueError or TypeError raised while building ``path`` as a ConfigError."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _from_dict(cls, data, path="config"):
-    """Build a config dataclass, rejecting unknown keys at every level."""
+    """Build a config dataclass, rejecting unknown keys and invalid values at every level."""
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    hints = typing.get_type_hints(cls)
+    allowed = sorted(f.name for f in dataclasses.fields(cls))
+    unknown = set(data) - set(allowed)
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}; allowed: {sorted(fields)}")
-    kwargs = {}
-    for name, f in fields.items():
-        if name not in data:
-            continue
-        if f.type in ("EnvSection", "DistSection", "ModelSection", "MpcSection", "L1Section", "LoopSection", "SyntheticSection"):
-            section_cls = next(t for t in _SECTION_TYPES if t.__name__ == f.type)
-            kwargs[name] = _from_dict(section_cls, data[name], f"{path}.{name}")
-        else:
-            kwargs[name] = data[name]
-    return cls(**kwargs)
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}; allowed: {allowed}")
+    kwargs = {
+        name: _from_dict(hints[name], value, f"{path}.{name}") if dataclasses.is_dataclass(hints[name]) else value
+        for name, value in data.items()
+    }
+    with _config_section(path):
+        return cls(**kwargs)
 
 
 def load_config(cls, path: str | Path):
@@ -189,27 +177,38 @@ def load_config(cls, path: str | Path):
     return _from_dict(cls, raw, path=str(path))
 
 
-def resolve_run_config(cfg: RunConfig) -> RunConfig:
-    """Fill in environment-dependent defaults; validate eagerly."""
-    env = make_env(cfg.env.name, cfg.env.overrides)
-    DisturbanceSpec(**dataclasses.asdict(cfg.disturbance))
+def _build_pieces(cfg: RunConfig | CompareConfig):
+    """The env, L1Config and TrainOptions a loaded run or compare config describes."""
+    with _config_section("env"):
+        env = make_env(cfg.env.name, cfg.env.overrides)
+    with _config_section("l1"):
+        l1cfg = default_l1_config(env.n, env.dt, cfg.l1.eps_a, cfg.l1.as_value, cfg.l1.omega_factor)
+    m = cfg.model
+    with _config_section("model"):
+        opts = TrainOptions(lr=m.lr, batch_size=m.batch_size, max_epochs=m.max_epochs, patience=m.patience,
+                            val_fraction=m.val_fraction, min_rows=m.min_rows)
+    return env, l1cfg, opts
+
+
+def resolve_config(cfg, seed_override: tuple[int, ...] = (), out_override: str | None = None):
+    """Fill in the eps_a, out and seed defaults of a run or compare config; check it builds."""
     if cfg.l1.eps_a is None:
         cfg.l1.eps_a = EPS_A_DEFAULTS.get(cfg.env.name, 0.3)
-    default_l1_config(env.n, env.dt, cfg.l1.eps_a, cfg.l1.as_value, cfg.l1.omega_factor)
-    MpcConfig(horizon=cfg.mpc.horizon, n_candidates=cfg.mpc.n_candidates)
-    LoopConfig(
-        iterations=cfg.loop.iterations,
-        episodes_per_iteration=cfg.loop.episodes_per_iteration,
-        eval_episodes=cfg.loop.eval_episodes,
-        l1_train=cfg.loop.l1_train,
-        l1_test=cfg.loop.l1_test,
-        l1_warmup_iterations=cfg.loop.l1_warmup_iterations,
-    )
+    if out_override:
+        cfg.out = out_override
+    elif cfg.out is None:
+        cfg.out = f"runs/{cfg.name}"
+    with _config_section("seeds"):
+        cfg.seeds = [int(s) for s in (seed_override or cfg.seeds)]
     if not cfg.seeds:
         raise ConfigError("seeds list must not be empty")
-    if cfg.out is None:
-        cfg.out = f"runs/{cfg.name}"
+    _build_pieces(cfg)
     return cfg
+
+
+def _config_error(exc: ConfigError):
+    click.echo(f"config error: {exc}", err=True)
+    sys.exit(EXIT_CONFIG)
 
 
 def out_dir(path_str: str) -> Path:
@@ -233,37 +232,10 @@ def _write_meta(directory: Path, cfg, extra: dict | None = None) -> None:
 # --- run --------------------------------------------------------------------
 
 
-def _build_pieces(cfg: RunConfig):
-    env = make_env(cfg.env.name, cfg.env.overrides)
-    dist = DisturbanceSpec(**dataclasses.asdict(cfg.disturbance))
-    mpc = MpcConfig(horizon=cfg.mpc.horizon, n_candidates=cfg.mpc.n_candidates)
-    l1cfg = default_l1_config(env.n, env.dt, cfg.l1.eps_a, cfg.l1.as_value, cfg.l1.omega_factor)
-    loop = LoopConfig(
-        iterations=cfg.loop.iterations,
-        episodes_per_iteration=cfg.loop.episodes_per_iteration,
-        eval_episodes=cfg.loop.eval_episodes,
-        l1_train=cfg.loop.l1_train,
-        l1_test=cfg.loop.l1_test,
-        l1_warmup_iterations=cfg.loop.l1_warmup_iterations,
-    )
-    opts = TrainOptions(
-        lr=cfg.model.lr,
-        batch_size=cfg.model.batch_size,
-        max_epochs=cfg.model.max_epochs,
-        patience=cfg.model.patience,
-        val_fraction=cfg.model.val_fraction,
-        min_rows=cfg.model.min_rows,
-    )
-    return env, dist, mpc, l1cfg, loop, opts
-
-
-def _run_one_seed(cfg_dict: dict, seed: int) -> RunRecord:
-    cfg = _from_dict(RunConfig, cfg_dict)
-    env, dist, mpc, l1cfg, loop, opts = _build_pieces(cfg)
-    record, _ = train_loop(
-        env, dist, loop, mpc, l1cfg, train_opts=opts,
-        members=cfg.model.members, hidden=tuple(cfg.model.hidden), seed=seed,
-    )
+def _run_one_seed(cfg: RunConfig, seed: int) -> RunRecord:
+    env, l1cfg, opts = _build_pieces(cfg)
+    record, _ = train_loop(env, cfg.disturbance, cfg.loop, cfg.mpc, l1cfg, train_opts=opts,
+                           members=cfg.model.members, hidden=tuple(cfg.model.hidden), seed=seed)
     return record
 
 
@@ -308,14 +280,11 @@ def _grid_variants(cfg: RunConfig) -> list[RunConfig]:
     variants = []
     for l1_train in (False, True):
         for l1_test in (False, True):
-            sub = _from_dict(RunConfig, dataclasses.asdict(cfg))
-            sub.loop.l1_train = l1_train
-            sub.loop.l1_test = l1_test
-            sub.ablation_grid = False
             tag = f"l1_{'on' if l1_train else 'off'}_{'on' if l1_test else 'off'}"
-            sub.name = f"{cfg.name}_{tag}"
-            sub.out = str(Path(cfg.out) / tag)
-            variants.append(sub)
+            variants.append(replace(
+                cfg, name=f"{cfg.name}_{tag}", out=str(Path(cfg.out) / tag), ablation_grid=False,
+                loop=replace(cfg.loop, l1_train=l1_train, l1_test=l1_test),
+            ))
     return variants
 
 
@@ -323,10 +292,6 @@ def _grid_variants(cfg: RunConfig) -> list[RunConfig]:
 @click.version_option(version=__version__)
 def main():
     """Adaptive-augmentation experiments for model-based RL."""
-
-
-def _seeds(cfg, seed_override: tuple[int, ...]):
-    return [int(s) for s in (seed_override if seed_override else cfg.seeds)]
 
 
 @main.command("run")
@@ -337,28 +302,23 @@ def _seeds(cfg, seed_override: tuple[int, ...]):
 def cmd_run(config_path, seed_override, out_override, jobs):
     """Execute the train-and-evaluate loop for every seed in the config."""
     try:
-        cfg = resolve_run_config(load_config(RunConfig, config_path))
-        if out_override:
-            cfg.out = out_override
-        cfg.seeds = _seeds(cfg, seed_override)
+        cfg = resolve_config(load_config(RunConfig, config_path), seed_override, out_override)
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        _config_error(exc)
 
     configs = _grid_variants(cfg) if cfg.ablation_grid else [cfg]
     for sub in configs:
         directory = out_dir(sub.out)
         records: list[tuple[int, RunRecord]] = []
         try:
-            cfg_dict = dataclasses.asdict(sub)
             if jobs > 1 and len(sub.seeds) > 1:
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    futures = [(seed, pool.submit(_run_one_seed, cfg_dict, seed)) for seed in sub.seeds]
+                    futures = [(seed, pool.submit(_run_one_seed, sub, seed)) for seed in sub.seeds]
                     for seed, fut in futures:
                         records.append((seed, fut.result()))
             else:
                 for seed in sub.seeds:
-                    records.append((seed, _run_one_seed(cfg_dict, seed)))
+                    records.append((seed, _run_one_seed(sub, seed)))
         except Exception:
             _emit_run_outputs(directory, sub, records)
             click.echo("runtime abort; partial outputs flushed", err=True)
@@ -386,10 +346,14 @@ def cmd_verify(config_path, out_override):
         params = dict(cfg.synthetic.params)
         if "ts_grid" in params:
             params["ts_grid"] = tuple(params["ts_grid"])
-        spec = make_synthetic_spec(cfg.synthetic.preset, **params)
-    except (ConfigError, TypeError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        with _config_section(f"{config_path}.synthetic"):
+            spec = make_synthetic_spec(cfg.synthetic.preset, **params)
+        with _config_section(config_path):
+            grid_l1_configs(spec, cfg.as_value, cfg.omega_factor)
+            if cfg.assumption_samples < 1:
+                raise ValueError("assumption_samples must be >= 1")
+    except ConfigError as exc:
+        _config_error(exc)
 
     directory = out_dir(cfg.out)
     try:
@@ -427,46 +391,23 @@ def _final_window_mean(record: RunRecord, window: int) -> float:
     return float(np.mean(tail))
 
 
-def _compare_cell(cfg_dict: dict, scenario: dict, seed: int, use_l1: bool) -> float:
+def _compare_cell(cfg: CompareConfig, scenario: DisturbanceSpec, seed: int, use_l1: bool) -> float:
     """Final-window return for one (scenario, seed, arm) cell."""
-    cfg = _from_dict(CompareConfig, cfg_dict)
-    env = make_env(cfg.env.name, cfg.env.overrides)
-    mpc = MpcConfig(horizon=cfg.mpc.horizon, n_candidates=cfg.mpc.n_candidates)
-    eps_a = cfg.l1.eps_a if cfg.l1.eps_a is not None else EPS_A_DEFAULTS.get(cfg.env.name, 0.3)
-    l1cfg = default_l1_config(env.n, env.dt, eps_a, cfg.l1.as_value, cfg.l1.omega_factor)
-    opts = TrainOptions(
-        lr=cfg.model.lr, batch_size=cfg.model.batch_size, max_epochs=cfg.model.max_epochs,
-        patience=cfg.model.patience, val_fraction=cfg.model.val_fraction, min_rows=cfg.model.min_rows,
-    )
-    scenario_dist = DisturbanceSpec(**scenario)
-
+    env, l1cfg, opts = _build_pieces(cfg)
+    model_kw = dict(train_opts=opts, members=cfg.model.members, hidden=tuple(cfg.model.hidden), seed=seed)
     if cfg.sim_to_real:
         # Train clean without augmentation, then deploy on the disturbed system.
-        train_dist = DisturbanceSpec(kind="none")
-        loop = LoopConfig(
-            iterations=cfg.loop.iterations,
-            episodes_per_iteration=cfg.loop.episodes_per_iteration,
-            eval_episodes=cfg.loop.eval_episodes,
-            l1_train=False, l1_test=False,
-        )
-        _, model = train_loop(env, train_dist, loop, mpc, l1cfg, train_opts=opts,
-                              members=cfg.model.members, hidden=tuple(cfg.model.hidden), seed=seed)
+        loop = replace(cfg.loop, l1_train=False, l1_test=False)
+        _, model = train_loop(env, DisturbanceSpec(), loop, cfg.mpc, l1cfg, **model_kw)
         returns = []
         for ep in range(cfg.eval_episodes):
-            result = run_episode(env, scenario_dist, model, mpc, l1cfg, use_l1,
+            result = run_episode(env, scenario, model, cfg.mpc, l1cfg, use_l1,
                                  episode_rng(seed, 10_000, ep, PHASE_EVAL))
             returns.append(result.episode_return)
         return float(np.mean(returns))
 
-    loop = LoopConfig(
-        iterations=cfg.loop.iterations,
-        episodes_per_iteration=cfg.loop.episodes_per_iteration,
-        eval_episodes=cfg.loop.eval_episodes,
-        l1_train=use_l1, l1_test=use_l1,
-        l1_warmup_iterations=cfg.loop.l1_warmup_iterations,
-    )
-    record, _ = train_loop(env, scenario_dist, loop, mpc, l1cfg, train_opts=opts,
-                           members=cfg.model.members, hidden=tuple(cfg.model.hidden), seed=seed)
+    loop = replace(cfg.loop, l1_train=use_l1, l1_test=use_l1)
+    record, _ = train_loop(env, scenario, loop, cfg.mpc, l1cfg, **model_kw)
     return _final_window_mean(record, cfg.report_window)
 
 
@@ -488,26 +429,14 @@ def _sign_test_p(wins: int, losses: int) -> float:
 def cmd_compare(config_path, seed_override, out_override, jobs):
     """Paired baseline-vs-augmented runs per scenario on shared seeds."""
     try:
-        cfg = load_config(CompareConfig, config_path)
-        if cfg.out is None:
-            cfg.out = f"runs/{cfg.name}"
-        if out_override:
-            cfg.out = out_override
-        cfg.seeds = _seeds(cfg, seed_override)
-        if not cfg.seeds:
-            raise ConfigError("seeds list must not be empty")
-        if not cfg.scenarios:
-            raise ConfigError("scenarios list must not be empty")
-        scenarios = [dict(s) for s in cfg.scenarios]
-        for s in scenarios:
-            DisturbanceSpec(**s)
-        make_env(cfg.env.name, cfg.env.overrides)
-    except (ConfigError, TypeError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        cfg = resolve_config(load_config(CompareConfig, config_path), seed_override, out_override)
+        if not isinstance(cfg.scenarios, list) or not cfg.scenarios:
+            raise ConfigError("scenarios must be a non-empty list")
+        scenarios = [_from_dict(DisturbanceSpec, s, f"{config_path}.scenarios[{i}]") for i, s in enumerate(cfg.scenarios)]
+    except ConfigError as exc:
+        _config_error(exc)
 
     directory = out_dir(cfg.out)
-    cfg_dict = dataclasses.asdict(cfg)
     cells = [(si, scenario, seed, use_l1)
              for si, scenario in enumerate(scenarios)
              for seed in cfg.seeds
@@ -516,21 +445,21 @@ def cmd_compare(config_path, seed_override, out_override, jobs):
     try:
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {(si, seed, use_l1): pool.submit(_compare_cell, cfg_dict, scenario, seed, use_l1)
+                futures = {(si, seed, use_l1): pool.submit(_compare_cell, cfg, scenario, seed, use_l1)
                            for si, scenario, seed, use_l1 in cells}
                 results = {key: fut.result() for key, fut in futures.items()}
         else:
             for si, scenario, seed, use_l1 in cells:
-                results[(si, seed, use_l1)] = _compare_cell(cfg_dict, scenario, seed, use_l1)
+                results[(si, seed, use_l1)] = _compare_cell(cfg, scenario, seed, use_l1)
     except Exception:
         traceback.print_exc()
         sys.exit(EXIT_RUNTIME)
 
-    def scenario_label(s: dict) -> str:
-        bits = [s.get("kind", "none")]
+    def scenario_label(s: DisturbanceSpec) -> str:
+        bits = [s.kind]
         for key in ("amplitude", "frequency", "sigma_a", "sigma_o"):
-            if s.get(key):
-                bits.append(f"{key}={s[key]:g}")
+            if getattr(s, key):
+                bits.append(f"{key}={getattr(s, key):g}")
         return "_".join(bits)
 
     lines = ["scenario,arm,mean_return,std_return,n_seeds,l1_wins,l1_losses,sign_p"]

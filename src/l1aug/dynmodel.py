@@ -246,6 +246,12 @@ class TrainOptions:
     min_rows: int = 64
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.lr > 0 or self.batch_size < 1 or self.max_epochs < 0 or self.patience < 0:
+            raise ValueError("TrainOptions: need lr > 0, batch_size >= 1, max_epochs >= 0 and patience >= 0")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError("TrainOptions: val_fraction must lie in [0, 1)")
+
 
 @dataclass
 class TrainReport:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .affine import AffineModel, affinize, switching_check
 from .envsim import ConfigError, rk4_step
-from .l1core import L1Config, adapt, decompose, filter_step
+from .l1core import L1Config, adapt, decompose, default_l1_config, filter_step
 
 Array = np.ndarray
 
@@ -211,6 +211,11 @@ def fit_sup_line(ts_values: Array, sups: Array, eps_a: float) -> dict:
     return {"intercept": 2.0 * eps_a, "slope": slope, "rel_residual": rel_residual}
 
 
+def grid_l1_configs(spec: SyntheticSpec, as_value: float = -1.0, omega_factor: float = 0.35) -> list[L1Config]:
+    """One controller config per sampling time of the grid; raises ValueError on invalid gains."""
+    return [default_l1_config(spec.n, ts, spec.eps_a, as_value, omega_factor) for ts in spec.ts_grid]
+
+
 def run_ts_grid(spec: SyntheticSpec, as_value: float = -1.0, omega_factor: float = 0.35) -> dict:
     """Run the bound experiment across the sampling-time grid and judge it.
 
@@ -220,10 +225,7 @@ def run_ts_grid(spec: SyntheticSpec, as_value: float = -1.0, omega_factor: float
     positive. Also reports the fitted slope line and switch-storm flags
     (more than half the steps switching).
     """
-    traces = []
-    for ts in spec.ts_grid:
-        cfg = L1Config(ts=ts, as_diag=np.full(spec.n, as_value), omega=omega_factor / ts, eps_a=spec.eps_a)
-        traces.append(run_bound_experiment(spec, cfg))
+    traces = [run_bound_experiment(spec, cfg) for cfg in grid_l1_configs(spec, as_value, omega_factor)]
 
     first_bound = spec.eps_l + spec.eps_a + 1e-12
     first_ok = [tr.first_interval_max <= first_bound for tr in traces]

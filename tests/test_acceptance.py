@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from l1aug import mbrl
-from l1aug.affine import affinize, eval_affine, replay_switch_count, switching_check
+from l1aug.affine import affinize, replay_switch_count, switching_check
 from l1aug.dynmodel import TrainOptions, make_ensemble, train, unnormalize_jacobian
 from l1aug.envsim import DisturbanceSpec, make_env
 from l1aug.l1core import L1Config, default_l1_config, filter_step
@@ -109,7 +109,7 @@ def test_criterion_6_affinization_properties(linear_ensemble):
         x, ubar = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 1)
         am = affinize(trained, ubar)
         worst_anchor = max(worst_anchor, float(np.linalg.norm(
-            eval_affine(am, x, ubar) - trained.predict_mean(x, ubar))))
+            am.predict(x, ubar) - trained.predict_mean(x, ubar))))
     anchor_ok = worst_anchor <= 1e-12
 
     class LinearModel:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1aug.affine import affinize, eval_affine, replay_switch_count, switching_check
+from l1aug.affine import affinize, replay_switch_count, switching_check
 
 
 class QuadraticModel:
@@ -39,9 +39,10 @@ def linear_model():
 def test_quadratic_hand_taylor():
     am = affinize(QuadraticModel(), np.array([1.0]))
     x = np.zeros(1)
-    assert am.offset(x)[0] == pytest.approx(-1.0, abs=1e-14)
-    assert am.input_gain(x)[0, 0] == pytest.approx(2.0, abs=1e-14)
-    assert eval_affine(am, x, np.array([1.5]))[0] == pytest.approx(2.0, abs=1e-14)
+    f_anchor, jac = am.parts(x)
+    assert (f_anchor - jac @ am.ubar)[0] == pytest.approx(-1.0, abs=1e-14)
+    assert jac[0, 0] == pytest.approx(2.0, abs=1e-14)
+    assert am.predict(x, np.array([1.5]))[0] == pytest.approx(2.0, abs=1e-14)
     # while the full model gives 2.25
     assert QuadraticModel().predict_mean(x, np.array([1.5]))[0] == pytest.approx(2.25)
 
@@ -49,7 +50,7 @@ def test_quadratic_hand_taylor():
 def test_anchor_exactness_quadratic():
     am = affinize(QuadraticModel(), np.array([0.7]))
     x = np.zeros(1)
-    diff = eval_affine(am, x, np.array([0.7])) - QuadraticModel().predict_mean(x, np.array([0.7]))
+    diff = am.predict(x, np.array([0.7])) - QuadraticModel().predict_mean(x, np.array([0.7]))
     assert abs(diff[0]) <= 1e-12
 
 
@@ -59,7 +60,7 @@ def test_anchor_exactness_trained_ensemble(linear_ensemble):
     for _ in range(20):
         x, ubar = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 1)
         am = affinize(trained, ubar)
-        assert np.linalg.norm(eval_affine(am, x, ubar) - trained.predict_mean(x, ubar)) <= 1e-12
+        assert np.linalg.norm(am.predict(x, ubar) - trained.predict_mean(x, ubar)) <= 1e-12
 
 
 def test_linear_model_is_its_own_expansion(linear_model):
@@ -67,9 +68,10 @@ def test_linear_model_is_its_own_expansion(linear_model):
     am = affinize(linear_model, rng.normal(size=2))
     for _ in range(50):
         x, u = rng.normal(size=3), rng.normal(size=2)
-        assert np.allclose(eval_affine(am, x, u), linear_model.predict_mean(x, u), atol=1e-10)
-        assert np.allclose(am.input_gain(x), linear_model.b, atol=1e-14)
-        assert np.allclose(am.offset(x), linear_model.a @ x, atol=1e-10)
+        f_anchor, jac = am.parts(x)
+        assert np.allclose(am.predict(x, u), linear_model.predict_mean(x, u), atol=1e-10)
+        assert np.allclose(jac, linear_model.b, atol=1e-14)
+        assert np.allclose(f_anchor - jac @ am.ubar, linear_model.a @ x, atol=1e-10)
 
 
 def test_switching_fires_on_quadratic_remainder():

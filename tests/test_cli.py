@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 import l1aug
-from l1aug.cli import RunConfig, _from_dict, load_config, resolve_run_config
+from l1aug.cli import CompareConfig, RunConfig, VerifyConfig, _from_dict, load_config, resolve_config
 from l1aug.envsim import ConfigError
 from l1aug.mbrl import EPISODE_COLUMNS, trace_columns
 
@@ -67,10 +67,10 @@ def test_missing_file_is_config_error(tmp_path):
 
 def test_eps_a_default_resolution(tmp_path):
     path = write_yaml(tmp_path / "r.yaml", {"name": "x", "env": {"name": "cartpole"}})
-    cfg = resolve_run_config(load_config(RunConfig, path))
+    cfg = resolve_config(load_config(RunConfig, path))
     assert cfg.l1.eps_a == 1.0
     path2 = write_yaml(tmp_path / "r2.yaml", {"name": "x", "env": {"name": "pendulum"}})
-    cfg2 = resolve_run_config(load_config(RunConfig, path2))
+    cfg2 = resolve_config(load_config(RunConfig, path2))
     assert cfg2.l1.eps_a == 0.3
 
 
@@ -79,6 +79,55 @@ def test_cli_run_invalid_config_exits_1(tmp_path):
     proc = run_cli(["run", str(path)], cwd=tmp_path)
     assert proc.returncode == 1
     assert "config error" in proc.stderr
+
+
+@pytest.mark.parametrize("command,data", [
+    ("run", {"mpc": {"horizon": 0}}),
+    ("run", {"l1": {"omega_factor": 5}}),
+    ("run", {"model": {"batch_size": 0}}),
+    ("run", {"model": {"members": 0}}),
+    ("compare", {"mpc": {"horizon": 0}}),
+    ("verify", {"omega_factor": 5.0}),
+])
+def test_cli_invalid_value_is_config_error(tmp_path, command, data):
+    path = write_yaml(tmp_path / "bad.yaml", dict(data, out=str(tmp_path / "out")))
+    proc = run_cli([command, str(path)], cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+RUN_KEYS = {
+    "": {"name", "env", "disturbance", "model", "mpc", "l1", "loop", "seeds", "out", "ablation_grid"},
+    "env": {"name", "overrides"},
+    "disturbance": {"kind", "amplitude", "frequency", "sigma_a", "sigma_o"},
+    "model": {"members", "hidden", "lr", "batch_size", "max_epochs", "patience", "val_fraction", "min_rows"},
+    "mpc": {"horizon", "n_candidates"},
+    "l1": {"as_value", "omega_factor", "eps_a"},
+    "loop": {"iterations", "episodes_per_iteration", "eval_episodes", "l1_train", "l1_test", "l1_warmup_iterations"},
+}
+VERIFY_KEYS = {
+    "": {"name", "synthetic", "as_value", "omega_factor", "assumption_samples", "assumption_seed", "out"},
+    "synthetic": {"preset", "params"},
+}
+COMPARE_KEYS = dict(
+    {k: v for k, v in RUN_KEYS.items() if k != "disturbance"},
+    **{"": {"name", "env", "scenarios", "model", "mpc", "l1", "loop", "sim_to_real", "eval_episodes", "seeds", "out",
+            "report_window"}},
+)
+
+
+@pytest.mark.parametrize("cls,keys", [(RunConfig, RUN_KEYS), (VerifyConfig, VERIFY_KEYS), (CompareConfig, COMPARE_KEYS)])
+def test_config_section_key_sets(cls, keys):
+    for section, expected in keys.items():
+        data = {"bogus": 1} if not section else {section: {"bogus": 1}}
+        with pytest.raises(ConfigError, match="unknown keys") as info:
+            _from_dict(cls, data)
+        assert set(yaml.safe_load(str(info.value).split("allowed: ")[1])) == expected, section
+    if "model" in keys:  # TrainOptions.seed is derived per run and seed, never configured
+        with pytest.raises(ConfigError, match=r"\['seed'\]"):
+            _from_dict(cls, {"model": {"seed": 1}})
 
 
 def test_cli_run_outputs_and_determinism(tiny_run_cfg, tmp_path):
@@ -116,7 +165,7 @@ def test_cli_meta_echo_round_trip(tiny_run_cfg, tmp_path):
     assert proc.returncode == 0, proc.stderr
     meta = json.loads((tmp_path / "out" / "meta.json").read_text())
     reparsed = _from_dict(RunConfig, meta["config"])
-    original = resolve_run_config(load_config(RunConfig, tiny_run_cfg))
+    original = resolve_config(load_config(RunConfig, tiny_run_cfg))
     assert reparsed == original
 
 

@@ -95,6 +95,15 @@ def test_train_requires_rows():
         train(ens, small, TrainOptions(min_rows=64))
 
 
+@pytest.mark.parametrize("bad", [
+    {"batch_size": 0}, {"lr": 0.0}, {"lr": float("nan")}, {"max_epochs": -1}, {"patience": -1},
+    {"val_fraction": 1.0}, {"val_fraction": -0.1},
+])
+def test_train_options_reject_unrunnable_values(bad):
+    with pytest.raises(ValueError, match="TrainOptions"):
+        TrainOptions(**bad)
+
+
 def test_train_linear_system_reaches_low_val_loss(linear_ensemble):
     _, report = linear_ensemble
     assert max(report.best_val) < 1e-3
