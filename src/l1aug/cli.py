@@ -158,6 +158,9 @@ def _from_dict(cls, data, path="config"):
     unknown = set(data) - set(allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}; allowed: {allowed}")
+    for name, value in data.items():
+        if hints[name] is bool and not isinstance(value, bool):
+            raise ConfigError(f"{path}.{name}: expected true or false, got {value!r}")
     kwargs = {
         name: _from_dict(hints[name], value, f"{path}.{name}") if dataclasses.is_dataclass(hints[name]) else value
         for name, value in data.items()
@@ -187,6 +190,12 @@ def _build_pieces(cfg: RunConfig | CompareConfig):
     with _config_section("model"):
         opts = TrainOptions(lr=m.lr, batch_size=m.batch_size, max_epochs=m.max_epochs, patience=m.patience,
                             val_fraction=m.val_fraction, min_rows=m.min_rows)
+    first_rows = cfg.loop.episodes_per_iteration * env.horizon
+    if cfg.loop.iterations and first_rows < opts.min_rows:
+        raise ConfigError(
+            f"loop: the first iteration collects at most {first_rows} rows "
+            f"(episodes_per_iteration x env horizon {env.horizon}), fewer than model.min_rows {opts.min_rows}"
+        )
     return env, l1cfg, opts
 
 

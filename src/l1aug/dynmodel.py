@@ -10,6 +10,7 @@ chain rule through the layers and unnormalized by the stored statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -169,9 +170,14 @@ class Ensemble:
             out = out + member.forward(z)
         return self.normalizer.denorm_out(out / len(self.members))
 
-    def member_predict(self, idx: int, x: Array, u: Array) -> Array:
-        z = self.normalizer.norm_in(self._check(x, u))
-        return self.normalizer.denorm_out(self.members[idx].forward(z))
+    @cached_property
+    def planning_map(self) -> "PlanningMap":
+        """Float32 stacked copy of predict_mean, built on first use.
+
+        The cache is safe because a trained ensemble is never mutated:
+        ``train`` returns a new Ensemble.
+        """
+        return PlanningMap(self)
 
     def jacobian_u(self, x: Array, u: Array) -> Array:
         """Analytic (n, m) Jacobian of predict_mean with respect to u."""
@@ -182,6 +188,43 @@ class Ensemble:
         jac = jac / len(self.members)
         full = unnormalize_jacobian(jac, self.normalizer.sd_out, self.normalizer.sd_in)
         return full[:, self.n:]
+
+
+class PlanningMap:
+    """The ensemble mean map in float32, for the planner's batched rollouts.
+
+    Member weights are stacked and pre-transposed as (members, in, out)
+    arrays. ``norm_in`` is folded into the first layer, and the member mean
+    and ``denorm_out`` into the last, so one call takes raw [x | u] rows to
+    raw mean increments: tanh layers over the stacked (members, rows, width)
+    activations, then a sum over members. It agrees with ``predict_mean`` to
+    float32 precision; everything else reads the float64 ensemble.
+    """
+
+    def __init__(self, ensemble: Ensemble):
+        norm = ensemble.normalizer
+        members = ensemble.members
+        layers = range(members[0].n_layers)
+        weights = [np.stack([net.weights[i].T for net in members]) for i in layers]
+        biases = [np.stack([net.biases[i] for net in members]) for i in layers]
+        # (xu - mu_in) / sd_in @ W  ==  xu @ (W / sd_in) - (mu_in / sd_in) @ W
+        biases[0] = biases[0] - (norm.mu_in / norm.sd_in) @ weights[0]
+        weights[0] = weights[0] / norm.sd_in[:, None]
+        # mean over members of (a @ W + b) * sd_out + mu_out
+        weights[-1] = weights[-1] * (norm.sd_out / len(members))
+        biases[-1] = biases[-1].mean(axis=0) * norm.sd_out + norm.mu_out
+        self.weights = [np.ascontiguousarray(w, dtype=np.float32) for w in weights]
+        self.biases = [b[:, None, :].astype(np.float32) for b in biases[:-1]] + [biases[-1].astype(np.float32)]
+
+    def __call__(self, xu: Array) -> Array:
+        """(rows, n + m) float32 inputs to (rows, n) mean increments."""
+        a = xu
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            # In place: a fresh (members, rows, width) temporary per op costs more than the op.
+            a = a @ w
+            a += b
+            np.tanh(a, out=a)
+        return (a @ self.weights[-1]).sum(axis=0) + self.biases[-1]
 
 
 def make_ensemble(

@@ -73,14 +73,30 @@ class LoopConfig:
 
 
 def mpc_action(model: Ensemble, env: EnvSpec, x: Array, mpc: MpcConfig, rng: np.random.Generator) -> Array:
-    """First action of the best sampled sequence under the learned model."""
+    """First action of the best sampled sequence under the learned model.
+
+    An Ensemble rolls out through its float32 planning map; any other model
+    through its predict_mean. The start state is validated once, here.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (env.n,):
+        raise ValueError(f"expected state shape ({env.n},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite model input")
     cands = rng.uniform(env.input_low, env.input_high, size=(mpc.n_candidates, mpc.horizon, env.m))
-    states = np.broadcast_to(np.asarray(x, dtype=float), (mpc.n_candidates, env.n)).copy()
+    if hasattr(model, "planning_map"):
+        plan, dtype = model.planning_map, np.float32
+    else:
+        plan, dtype = (lambda xu: model.predict_mean(xu[:, :env.n], xu[:, env.n:])), float
+    xu = np.empty((mpc.n_candidates, env.n + env.m), dtype=dtype)
+    states = np.broadcast_to(x, (mpc.n_candidates, env.n)).copy()
     total = np.zeros(mpc.n_candidates)
     alive = np.ones(mpc.n_candidates, dtype=bool)
     for k in range(mpc.horizon):
         u = cands[:, k, :]
-        states = states + model.predict_mean(states, u)
+        xu[:, :env.n] = states
+        xu[:, env.n:] = u
+        states = states + plan(xu)
         in_bounds = np.all((states >= env.state_low) & (states <= env.state_high), axis=1)
         alive &= in_bounds
         total += np.where(alive, env.reward(states, u), 0.0)

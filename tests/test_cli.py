@@ -88,6 +88,12 @@ def test_cli_run_invalid_config_exits_1(tmp_path):
     ("run", {"model": {"members": 0}}),
     ("compare", {"mpc": {"horizon": 0}}),
     ("verify", {"omega_factor": 5.0}),
+    ("run", {"env": {"overrides": {"horizon": 5}}, "loop": {"iterations": 1, "episodes_per_iteration": 1}}),
+    ("compare", {"env": {"overrides": {"horizon": 5}}, "loop": {"episodes_per_iteration": 2}}),
+    ("run", {"ablation_grid": "false"}),
+    ("run", {"loop": {"l1_train": "false"}}),
+    ("compare", {"sim_to_real": "false"}),
+    ("compare", {"loop": {"l1_test": 0}}),
 ])
 def test_cli_invalid_value_is_config_error(tmp_path, command, data):
     path = write_yaml(tmp_path / "bad.yaml", dict(data, out=str(tmp_path / "out")))

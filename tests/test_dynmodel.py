@@ -163,10 +163,16 @@ def test_training_divergence_names_member():
 # --- Prediction and ensemble arithmetic ----------------------------------------
 
 
+def member_output(ens, idx, x, u):
+    """One member's denormalized prediction, through the shared normalizer."""
+    z = ens.normalizer.norm_in(np.concatenate([x, u], axis=-1))
+    return ens.normalizer.denorm_out(ens.members[idx].forward(z))
+
+
 def test_predict_mean_single_member_equals_member():
     ens = make_ensemble(2, 1, hidden=(8,), members=1, seed=4)
     x, u = np.array([0.1, 0.2]), np.array([0.3])
-    assert np.allclose(ens.predict_mean(x, u), ens.member_predict(0, x, u), atol=1e-15)
+    assert np.allclose(ens.predict_mean(x, u), member_output(ens, 0, x, u), atol=1e-15)
 
 
 def test_predict_mean_is_mean_of_members():
@@ -174,7 +180,7 @@ def test_predict_mean_is_mean_of_members():
     rng = np.random.default_rng(2)
     for _ in range(10):
         x, u = rng.normal(size=3), rng.normal(size=2)
-        per_member = np.stack([ens.member_predict(i, x, u) for i in range(4)])
+        per_member = np.stack([member_output(ens, i, x, u) for i in range(4)])
         assert np.allclose(ens.predict_mean(x, u), per_member.mean(axis=0), atol=1e-12)
 
 
@@ -197,6 +203,48 @@ def test_non_finite_input_rejected():
     ens = make_ensemble(2, 1)
     with pytest.raises(ValueError):
         ens.predict_mean(np.array([np.nan, 0.0]), np.zeros(1))
+
+
+# --- Float32 planning map ---------------------------------------------------------
+
+
+def assert_plan_matches_mean(ens, xs, us, rtol=1e-5):
+    """The planning map reproduces predict_mean to float32 precision."""
+    xu = np.concatenate([xs, us], axis=1).astype(np.float32)
+    plan = ens.planning_map(xu)
+    ref = ens.predict_mean(xs, us)
+    assert plan.dtype == np.float32 and plan.shape == ref.shape
+    assert np.max(np.abs(plan - ref)) <= rtol * np.max(np.abs(ref))
+
+
+def test_planning_map_matches_trained_ensemble(linear_ensemble):
+    trained, _ = linear_ensemble
+    rng = np.random.default_rng(8)
+    assert len(trained.members) == 3
+    assert_plan_matches_mean(trained, rng.uniform(-2, 2, (200, 2)), rng.uniform(-2, 2, (200, 1)))
+
+
+def test_planning_map_matches_single_member_and_linear_nets():
+    rng = np.random.default_rng(4)
+    norm = Normalizer(mu_in=rng.normal(size=5), sd_in=rng.uniform(0.5, 2.0, 5),
+                      mu_out=rng.normal(size=3), sd_out=rng.uniform(0.5, 2.0, 3))
+    for hidden, members in (((16, 16), 1), ((), 1), ((), 3), ((8,), 2)):
+        base = make_ensemble(3, 2, hidden=hidden, members=members, seed=6)
+        ens = Ensemble(members=base.members, normalizer=norm, n=3, m=2, seed=6)
+        assert_plan_matches_mean(ens, rng.normal(size=(50, 3)), rng.normal(size=(50, 2)))
+
+
+def test_planning_map_is_rebuilt_for_a_trained_ensemble(linear_dataset):
+    ens = make_ensemble(2, 1, hidden=(16,), members=2, seed=3)
+    rng = np.random.default_rng(1)
+    xs, us = rng.uniform(-2, 2, (64, 2)), rng.uniform(-2, 2, (64, 1))
+    xu = np.concatenate([xs, us], axis=1).astype(np.float32)
+    before = ens.planning_map(xu)
+    trained, _ = train(ens, linear_dataset, TrainOptions(max_epochs=3, seed=2))
+    assert trained.planning_map is not ens.planning_map
+    assert not np.allclose(trained.planning_map(xu), before)
+    assert_plan_matches_mean(trained, xs, us)
+    assert np.array_equal(ens.planning_map(xu), before)
 
 
 # --- Input Jacobian --------------------------------------------------------------
@@ -265,4 +313,6 @@ def test_save_load_round_trip(tmp_path, linear_ensemble):
     x, u = rng.normal(size=2), rng.normal(size=1)
     assert np.array_equal(trained.predict_mean(x, u), loaded.predict_mean(x, u))
     assert np.array_equal(trained.jacobian_u(x, u), loaded.jacobian_u(x, u))
+    xu = rng.normal(size=(32, 3)).astype(np.float32)
+    assert np.array_equal(trained.planning_map(xu), loaded.planning_map(xu))
     assert loaded.seed == trained.seed

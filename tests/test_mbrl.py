@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from l1aug import envsim
-from l1aug.dynmodel import TrainOptions
+from l1aug.dynmodel import TrainOptions, make_ensemble
 from l1aug.envsim import DisturbanceSpec, make_env
 from l1aug.l1core import default_l1_config
 from l1aug.mbrl import (
@@ -86,6 +86,34 @@ def test_mpc_deterministic_given_seed():
     a = mpc_action(model, env, np.array([1.0, 0.0]), mpc, np.random.default_rng(77))
     b = mpc_action(model, env, np.array([1.0, 0.0]), mpc, np.random.default_rng(77))
     assert np.array_equal(a, b)
+
+
+class MeanOnly:
+    """Hides an Ensemble's planning map, so mpc_action falls back to predict_mean."""
+
+    def __init__(self, ensemble):
+        self.predict_mean = ensemble.predict_mean
+
+
+def test_mpc_float32_planning_picks_the_float64_actions(pendulum_ensemble):
+    env, model = pendulum_ensemble
+    mpc = MpcConfig(horizon=15, n_candidates=200)
+    states = np.random.default_rng(21).uniform([-1.5, -3.0], [1.5, 3.0], size=(20, 2))
+    for i, x in enumerate(states):
+        fast = mpc_action(model, env, x, mpc, np.random.default_rng(i))
+        exact = mpc_action(MeanOnly(model), env, x, mpc, np.random.default_rng(i))
+        assert np.array_equal(fast, exact)
+
+
+def test_mpc_validates_the_start_state_at_entry():
+    env = make_env("pendulum")
+    model = make_ensemble(env.n, env.m, hidden=(8,), members=2, seed=0)
+    mpc = MpcConfig(horizon=3, n_candidates=8)
+    for x in (np.array([np.nan, 0.0]), np.array([0.0, np.inf])):
+        with pytest.raises(ValueError, match="non-finite model input"):
+            mpc_action(model, env, x, mpc, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="state shape"):
+        mpc_action(model, env, np.zeros(3), mpc, np.random.default_rng(0))
 
 
 class UnitIncrementModel2D:
