@@ -78,19 +78,25 @@ def switching_check(am: AffineModel, x: Array, u: Array, eps_a: float) -> Switch
     return SwitchDecision(switch=residual >= eps_a, residual=residual)
 
 
-def replay_switch_count(model: object, xs: Array, us: Array, eps_a: float) -> int:
-    """Count re-anchorings over a recorded (x_t, u_t) trajectory.
+def reanchor(
+    am: AffineModel | None, model: object, x: Array, u: Array, eps_a: float
+) -> tuple[AffineModel, SwitchDecision | None]:
+    """The switching law: the model to use at (x, u) and the check that chose it.
 
-    Replays the anchor-when-tripped rule: the first step anchors silently,
-    later steps re-anchor (and count) whenever the residual reaches eps_a.
+    With no model yet (``am`` is None) it anchors at u silently and returns
+    no decision; after that it re-anchors at u whenever the residual reaches
+    eps_a.
     """
-    am = None
-    count = 0
+    if am is None:
+        return affinize(model, u), None
+    decision = switching_check(am, x, u, eps_a)
+    return (affinize(model, u) if decision.switch else am), decision
+
+
+def replay_switch_count(model: object, xs: Array, us: Array, eps_a: float) -> int:
+    """Count re-anchorings of the switching law over a recorded (x_t, u_t) trajectory."""
+    am, count = None, 0
     for x, u in zip(xs, us):
-        if am is None:
-            am = affinize(model, u)
-            continue
-        if switching_check(am, x, u, eps_a).switch:
-            am = affinize(model, u)
-            count += 1
+        am, decision = reanchor(am, model, x, u, eps_a)
+        count += int(decision is not None and decision.switch)
     return count

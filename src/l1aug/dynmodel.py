@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .envsim import ConfigError
 Array = np.ndarray
 
 SD_FLOOR = 1e-8
-ENSEMBLE_FILE_VERSION = 1
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -403,44 +401,3 @@ def train(ensemble: Ensemble, data: TransitionDataset, opts: TrainOptions) -> tu
     trained = Ensemble(members=new_members, normalizer=normalizer, n=ensemble.n, m=ensemble.m, seed=ensemble.seed)
     return trained, report
 
-
-def save_ensemble(path: str | Path, ensemble: Ensemble) -> None:
-    """Persist weights, widths, normalizer stats, and seed to a versioned npz."""
-    payload: dict[str, Array] = {
-        "version": np.array(ENSEMBLE_FILE_VERSION),
-        "n": np.array(ensemble.n),
-        "m": np.array(ensemble.m),
-        "seed": np.array(ensemble.seed),
-        "n_members": np.array(len(ensemble.members)),
-        "mu_in": ensemble.normalizer.mu_in,
-        "sd_in": ensemble.normalizer.sd_in,
-        "mu_out": ensemble.normalizer.mu_out,
-        "sd_out": ensemble.normalizer.sd_out,
-    }
-    for i, member in enumerate(ensemble.members):
-        payload[f"widths_{i}"] = np.asarray(member.widths)
-        for layer, (w, b) in enumerate(zip(member.weights, member.biases)):
-            payload[f"w_{i}_{layer}"] = w
-            payload[f"b_{i}_{layer}"] = b
-    np.savez(Path(path), **payload)
-
-
-def load_ensemble(path: str | Path) -> Ensemble:
-    with np.load(Path(path)) as data:
-        version = int(data["version"])
-        if version != ENSEMBLE_FILE_VERSION:
-            raise ConfigError(f"unsupported ensemble file version {version}")
-        normalizer = Normalizer(
-            mu_in=data["mu_in"], sd_in=data["sd_in"], mu_out=data["mu_out"], sd_out=data["sd_out"]
-        )
-        members = []
-        for i in range(int(data["n_members"])):
-            widths = tuple(int(w) for w in data[f"widths_{i}"])
-            net = MlpModel(widths, np.random.default_rng(0))
-            net.weights = [data[f"w_{i}_{layer}"].copy() for layer in range(len(widths) - 1)]
-            net.biases = [data[f"b_{i}_{layer}"].copy() for layer in range(len(widths) - 1)]
-            members.append(net)
-        return Ensemble(
-            members=members, normalizer=normalizer,
-            n=int(data["n"]), m=int(data["m"]), seed=int(data["seed"]),
-        )

@@ -151,46 +151,33 @@ def filter_step(q: Array, sigma_m: Array, cfg: L1Config) -> tuple[Array, Array]:
     return q_next, -q_next
 
 
-def predictor_step(l1: L1State, x: Array, u: Array, am: AffineModel, cfg: L1Config) -> L1State:
-    """Advance the state predictor with the input actually applied this step.
+def l1_input(u_rl: Array, xtilde: Array, h: Array, q: Array, cfg: L1Config) -> tuple[Array, Array, Array, Array, Array]:
+    """The adaptive law at one sample: adaptation, matched/unmatched split, filter.
 
-    xhat_next = xhat + dx_affine(x, u) + (sigma_rate + As xtilde) * ts, with
-    the prediction error recomputed from the fresh measurement.
+    ``h`` is the input gain in increment units. Returns the augmented input
+    u_rl + u_a, the estimate sigma_rate, its split (sigma_m, sigma_um) and
+    the next filter state.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
-        raise ValueError("predictor_step: non-finite state or input")
-    xtilde = l1.xhat - x
-    xhat_next = l1.xhat + am.predict(x, u) + (l1.sigma_rate + cfg.as_diag * xtilde) * cfg.ts
-    return L1State(
-        xhat=xhat_next,
-        sigma_rate=l1.sigma_rate,
-        sigma_m=l1.sigma_m,
-        sigma_um=l1.sigma_um,
-        q=l1.q,
-        xtilde=xtilde,
-    )
+    sigma_rate = adapt(xtilde, cfg)
+    sigma_m, sigma_um = decompose(h, sigma_rate, cfg.ts)
+    q_next, u_a = filter_step(q, sigma_m, cfg)
+    return u_rl + u_a, sigma_rate, sigma_m, sigma_um, q_next
 
 
 def l1_control(u_rl: Array, x: Array, am: AffineModel, l1: L1State, cfg: L1Config) -> tuple[Array, L1State]:
     """Full per-step controller update, in order.
 
-    Prediction-error update, adaptation, matched/unmatched split at the
-    current state, filter, augmented input, then the predictor advance using
-    the augmented input. Returns the input to execute and the next state.
+    Prediction-error update, the adaptive law at the current state, then the
+    Euler predictor advance xhat + dx_affine(x, u) + (sigma_rate + As xtilde)
+    ts using the augmented input. Returns the input to execute and the next
+    state.
     """
     x = np.asarray(x, dtype=float)
     u_rl = np.asarray(u_rl, dtype=float)
     xtilde = l1.xhat - x
-    sigma_rate = adapt(xtilde, cfg)
     f_anchor, h = am.parts(x)
-    sigma_m, sigma_um = decompose(h, sigma_rate, cfg.ts)
-    q_next, u_a = filter_step(l1.q, sigma_m, cfg)
-    u = u_rl + u_a
-
-    dx_affine = f_anchor + h @ (u - am.ubar)
-    xhat_next = l1.xhat + dx_affine + (sigma_rate + cfg.as_diag * xtilde) * cfg.ts
+    u, sigma_rate, sigma_m, sigma_um, q_next = l1_input(u_rl, xtilde, h, l1.q, cfg)
+    xhat_next = l1.xhat + (f_anchor + h @ (u - am.ubar)) + (sigma_rate + cfg.as_diag * xtilde) * cfg.ts
     return u, L1State(
         xhat=xhat_next,
         sigma_rate=sigma_rate,

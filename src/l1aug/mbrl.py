@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .affine import AffineModel, SwitchEvent, affinize, switching_check
+from .affine import AffineModel, SwitchEvent, reanchor
 from .dynmodel import Ensemble, TrainOptions, TransitionDataset, make_ensemble, train
 from .envsim import DisturbanceSpec, EnvSpec, EpisodeDiverged, Transition, step_true
 from .l1core import L1Config, L1State, l1_control
@@ -152,16 +152,12 @@ def run_episode(
         residual = None
         xhat_t = l1.xhat
         if use_l1:
-            if am is None:
-                am = affinize(model, u_rl)
-                residual = 0.0
-            else:
-                decision = switching_check(am, x_obs, u_rl, l1cfg.eps_a)
-                residual = decision.residual
-                if decision.switch:
-                    events.append(SwitchEvent(t=t, old_anchor=am.ubar, new_anchor=u_rl, residual=decision.residual))
-                    am = affinize(model, u_rl)
-                    switch_flag = 1
+            previous = am
+            am, decision = reanchor(am, model, x_obs, u_rl, l1cfg.eps_a)
+            residual = 0.0 if decision is None else decision.residual
+            if decision is not None and decision.switch:
+                events.append(SwitchEvent(t=t, old_anchor=previous.ubar, new_anchor=am.ubar, residual=residual))
+                switch_flag = 1
             u_cmd, l1 = l1_control(u_rl, x_obs, am, l1, l1cfg)
         else:
             u_cmd = u_rl
@@ -302,7 +298,9 @@ def train_loop(
 
     The dataset accumulates across iterations. Evaluation episodes are
     separate from collection episodes so the two augmentation flags act
-    independently; iteration 0 records the untrained-model evaluation.
+    independently; iteration 0 records the untrained-model evaluation. An
+    iteration whose dataset is still below ``min_rows`` rows (early
+    terminations) keeps the current model and logs empty losses.
     """
     record = RunRecord(n=env.n, m=env.m)
     model = make_ensemble(env.n, env.m, hidden=hidden, members=members, seed=seed)
@@ -324,13 +322,11 @@ def train_loop(
             record.add_episode(PHASE_COLLECT, iteration, ep, seed, result)
             for trans in result.transitions:
                 dataset.append(trans.x, trans.u_logged, trans.x_next)
-        opts = replace(train_opts, seed=train_opts.seed * 1_000_003 + seed * 1_009 + iteration)
-        model, report = train(model, dataset, opts)
-        record.iteration_losses.append({
-            "iteration": iteration,
-            "rows": len(dataset),
-            "train_loss": report.final_train,
-            "val_loss": report.best_val,
-        })
+        losses = {"iteration": iteration, "rows": len(dataset), "train_loss": [], "val_loss": []}
+        if len(dataset) >= train_opts.min_rows:
+            opts = replace(train_opts, seed=train_opts.seed * 1_000_003 + seed * 1_009 + iteration)
+            model, report = train(model, dataset, opts)
+            losses.update(train_loss=report.final_train, val_loss=report.best_val)
+        record.iteration_losses.append(losses)
         evaluate(iteration)
     return record, model

@@ -19,9 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .affine import AffineModel, affinize, switching_check
+from .affine import AffineModel, reanchor
 from .envsim import ConfigError, rk4_step
-from .l1core import L1Config, adapt, decompose, default_l1_config, filter_step
+from .l1core import L1Config, default_l1_config, l1_input
 
 Array = np.ndarray
 
@@ -115,9 +115,10 @@ def run_bound_experiment(spec: SyntheticSpec, cfg: L1Config) -> ErrorTrace:
 
     Between samples the true state and the prediction error are integrated
     jointly with RK4 substeps, which keeps the interval response of the error
-    dynamics exact to well below the bound tolerances. The estimate update,
-    the matched/unmatched split, the filter, and the switching law run at the
-    sample boundaries exactly as in the discrete controller.
+    dynamics exact to well below the bound tolerances. At the sample
+    boundaries the controller's own switching law (``reanchor``) and
+    adaptive law (``l1_input``) run; unlike the controller's Euler predictor,
+    the prediction error is integrated exactly and with the clamped input.
     """
     ts = cfg.ts
     n_int = int(round(spec.t_max / ts))
@@ -125,7 +126,6 @@ def run_bound_experiment(spec: SyntheticSpec, cfg: L1Config) -> ErrorTrace:
 
     x = spec.x0.astype(float).copy()
     xtilde = np.zeros(spec.n)
-    sigma_rate = np.zeros(spec.n)
     q = np.zeros(spec.m)
     am: AffineModel | None = None
 
@@ -137,18 +137,14 @@ def run_bound_experiment(spec: SyntheticSpec, cfg: L1Config) -> ErrorTrace:
     for i in range(n_int):
         t0 = i * ts
         u_rl = np.asarray(spec.u_star(t0), dtype=float)
-        if am is None:
-            am = affinize(model, u_rl)
-        elif switching_check(am, x, u_rl, spec.eps_a).switch:
-            am = affinize(model, u_rl)
-            switch_count += 1
+        am, decision = reanchor(am, model, x, u_rl, spec.eps_a)
+        switch_count += int(decision is not None and decision.switch)
 
-        sigma_rate = adapt(xtilde, cfg)
+        # The synthetic model predicts rates; its input gain over one sample is jac * ts.
+        _, jac = am.parts(x)
+        u, sigma_rate, _, _, q = l1_input(u_rl, xtilde, jac * ts, q, cfg)
         sigmas[i] = sigma_rate
-        f_anchor, jac = am.parts(x)
-        sigma_m, _ = decompose(jac * ts, sigma_rate, ts)
-        q, u_a = filter_step(q, sigma_m, cfg)
-        u = np.clip(u_rl + u_a, spec.input_low, spec.input_high)
+        u = np.clip(u, spec.input_low, spec.input_high)
 
         anchor = am
 

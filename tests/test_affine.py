@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1aug.affine import affinize, replay_switch_count, switching_check
+from l1aug.affine import affinize, reanchor, replay_switch_count, switching_check
 
 
 class QuadraticModel:
@@ -125,6 +125,21 @@ def test_switch_counts_monotone_in_eps(linear_ensemble):
     us = rng.uniform(-2, 2, size=(400, 1))
     counts = [replay_switch_count(trained, xs, us, eps) for eps in (1e-6, 1e-4, 1e-2)]
     assert counts[0] >= counts[1] >= counts[2]
+
+
+def test_reanchor_anchors_silently_then_switches_at_eps():
+    # Around ubar = 1 the quadratic's residual at u is (u - 1)^2.
+    model, x = QuadraticModel(), np.zeros(1)
+    am, decision = reanchor(None, model, x, np.array([1.0]), eps_a=0.25)
+    assert decision is None
+    assert np.array_equal(am.ubar, [1.0])
+    kept, decision = reanchor(am, model, x, np.array([1.4]), eps_a=0.25)
+    assert kept is am
+    assert not decision.switch
+    moved, decision = reanchor(am, model, x, np.array([1.5]), eps_a=0.25)
+    assert decision.switch
+    assert decision.residual == 0.25
+    assert np.array_equal(moved.ubar, [1.5])
 
 
 def test_affinize_rejects_non_finite_anchor():

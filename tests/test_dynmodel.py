@@ -11,9 +11,7 @@ from l1aug.dynmodel import (
     TrainOptions,
     TrainingDivergenceError,
     TransitionDataset,
-    load_ensemble,
     make_ensemble,
-    save_ensemble,
     train,
     unnormalize_jacobian,
 )
@@ -299,20 +297,3 @@ def test_linear_member_jacobian_is_scaled_weight():
     ens = Ensemble(members=[net], normalizer=norm, n=2, m=1, seed=0)
     expected = norm.sd_out[:, None] * net.weights[0][:, 2:] / norm.sd_in[None, 2:]
     assert np.allclose(ens.jacobian_u(np.zeros(2), np.zeros(1)), expected, atol=1e-15)
-
-
-# --- Serialization ---------------------------------------------------------------
-
-
-def test_save_load_round_trip(tmp_path, linear_ensemble):
-    trained, _ = linear_ensemble
-    path = tmp_path / "ens.npz"
-    save_ensemble(path, trained)
-    loaded = load_ensemble(path)
-    rng = np.random.default_rng(0)
-    x, u = rng.normal(size=2), rng.normal(size=1)
-    assert np.array_equal(trained.predict_mean(x, u), loaded.predict_mean(x, u))
-    assert np.array_equal(trained.jacobian_u(x, u), loaded.jacobian_u(x, u))
-    xu = rng.normal(size=(32, 3)).astype(np.float32)
-    assert np.array_equal(trained.planning_map(xu), loaded.planning_map(xu))
-    assert loaded.seed == trained.seed

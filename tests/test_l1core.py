@@ -15,7 +15,6 @@ from l1aug.l1core import (
     filter_step,
     l1_control,
     orthonormal_complement,
-    predictor_step,
 )
 
 
@@ -232,13 +231,16 @@ def test_predictor_follows_model_at_zero_error():
     cfg = scalar_cfg(ts=ts)
     x = np.array([0.4])
     l1 = L1State.initial(x, 1)
-    u = np.array([0.8])
-    nxt = predictor_step(l1, x, u, am, cfg)
-    assert nxt.xhat[0] == pytest.approx(x[0] + u[0] * ts, abs=1e-15)
+    u_rl = np.array([0.8])
+    u, nxt = l1_control(u_rl, x, am, l1, cfg)
+    assert np.array_equal(u, u_rl)
+    assert nxt.xhat[0] == pytest.approx(x[0] + u_rl[0] * ts, abs=1e-15)
     assert nxt.xtilde[0] == 0.0
 
 
 def test_predictor_one_step_arithmetic():
+    # xhat = 0.01 at x = 0: the error drives one adaptation step, and the
+    # predictor advances with the augmented input and the fresh estimate.
     ts = 0.1
     model = ScalarIntegratorModel(ts)
     am = affinize(model, np.zeros(1))
@@ -247,8 +249,13 @@ def test_predictor_one_step_arithmetic():
         xhat=np.array([0.01]), sigma_rate=np.zeros(1), sigma_m=np.zeros(1),
         sigma_um=np.zeros(0), q=np.zeros(1), xtilde=np.zeros(1),
     )
-    nxt = predictor_step(l1, np.zeros(1), np.zeros(1), am, cfg)
-    assert nxt.xhat[0] == pytest.approx(0.009, abs=1e-15)
+    u, nxt = l1_control(np.zeros(1), np.zeros(1), am, l1, cfg)
+    decay = math.exp(-ts)
+    sigma = -decay / (1.0 - decay) * 0.01
+    u_a = -0.35 * sigma  # omega * ts = 0.35; the gain ts cancels in sigma_m
+    assert nxt.sigma_rate[0] == pytest.approx(sigma, abs=1e-15)
+    assert u[0] == pytest.approx(u_a, abs=1e-15)
+    assert nxt.xhat[0] == pytest.approx(0.01 + u_a * ts + (sigma - 0.01) * ts, abs=1e-15)
 
 
 def test_l1_control_first_step_is_transparent():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from l1aug import envsim
+from l1aug.affine import replay_switch_count
 from l1aug.dynmodel import TrainOptions, make_ensemble
 from l1aug.envsim import DisturbanceSpec, make_env
 from l1aug.l1core import default_l1_config
@@ -229,6 +230,19 @@ def test_anchor_validity_invariant(pendulum_ensemble):
             assert row["switch_residual"] < l1cfg.eps_a
 
 
+def test_replay_counts_the_switches_of_run_episode(pendulum_ensemble):
+    # eps_a small enough that the episode re-anchors a few dozen times.
+    env, model = pendulum_ensemble
+    mpc = MpcConfig(horizon=10, n_candidates=64)
+    l1cfg = default_l1_config(env.n, env.dt, eps_a=2e-4)
+    result = run_episode(env, DisturbanceSpec(kind="constant_matched", amplitude=0.3),
+                         model, mpc, l1cfg, True, episode_rng(0, 0, 0, "eval"))
+    assert len(result.switch_events) >= 10
+    xs = [row["x"] for row in result.rows]
+    us = [row["u_rl"] for row in result.rows]
+    assert replay_switch_count(model, xs, us, l1cfg.eps_a) == len(result.switch_events)
+
+
 def test_horizon_zero_like_empty_dataset():
     env = make_env("double_integrator", {"horizon": 1})
     model = UnitIncrementModel2D()
@@ -247,6 +261,22 @@ def test_train_loop_zero_iterations_records_untrained_eval():
     assert len(record.eval_returns[0]) == 2
     assert len(record.episodes) == 2
     assert all(row[0] == "eval" for row in record.episodes)
+
+
+def test_train_loop_skips_retrain_below_min_rows():
+    # One 15-step episode per iteration against min_rows 16: the first
+    # iteration keeps the untrained model and logs empty losses.
+    env = make_env("double_integrator", {"horizon": 15})
+    loop = LoopConfig(iterations=1, episodes_per_iteration=1, eval_episodes=1)
+    opts = TrainOptions(max_epochs=2, min_rows=16)
+    record, model = train_loop(env, DisturbanceSpec(), loop, MpcConfig(horizon=3, n_candidates=8),
+                               default_l1_config(2, env.dt, 0.3), train_opts=opts, members=2, hidden=(8,), seed=4)
+    assert record.iteration_losses == [{"iteration": 1, "rows": len(record.dataset), "train_loss": [], "val_loss": []}]
+    assert len(record.dataset) < opts.min_rows
+    assert set(record.eval_returns) == {0, 1}
+    untrained = make_ensemble(2, 1, hidden=(8,), members=2, seed=4)
+    x, u = np.array([0.3, -0.2]), np.array([0.5])
+    assert np.array_equal(model.predict_mean(x, u), untrained.predict_mean(x, u))
 
 
 def _tiny_loop_record(l1_train, l1_test, seed=5):
