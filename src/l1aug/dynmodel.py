@@ -1,15 +1,15 @@
 """Ensemble of feedforward networks learning the one-step state increment.
 
-Members are small tanh MLPs trained independently with Adam on normalized
-inputs (x, u) and normalized targets dx = x_next - x. The mean prediction and
-its analytic Jacobian with respect to the input are the quantities consumed
-by the control-affinization step, so the Jacobian is computed by an exact
-chain rule through the layers and unnormalized by the stored statistics.
+Members are small tanh MLPs, stored once as stacked per-layer arrays and
+trained in lockstep with Adam on normalized inputs (x, u) and targets
+dx = x_next - x. The control-affinization step consumes the mean prediction
+and its input Jacobian, an exact chain rule through the layers unnormalized
+by the stored statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -69,108 +69,66 @@ def unnormalize_jacobian(j_norm: Array, sd_out: Array, sd_in: Array) -> Array:
     return np.asarray(sd_out)[:, None] * j_norm / np.asarray(sd_in)[None, :]
 
 
-class MlpModel:
-    """Feedforward net, tanh hidden layers, identity output.
+def forward(weights: list[Array], biases: list[Array], z: Array) -> tuple[Array, list[Array]]:
+    """Every member's forward pass: tanh hidden layers, identity output.
 
-    ``widths`` includes input and output sizes, e.g. (5, 64, 64, 4); a
-    two-entry tuple gives a plain linear map. tanh keeps the model
-    continuously differentiable everywhere, which the affinization step
-    requires.
+    Normalized (rows, in) inputs shared by all members, or (members, rows, in)
+    per-member inputs, to (members, rows, out) outputs plus the hidden
+    activations. tanh keeps the map continuously differentiable, which the
+    affinization step requires.
     """
-
-    def __init__(self, widths: tuple[int, ...], rng: np.random.Generator):
-        if len(widths) < 2:
-            raise ConfigError("MlpModel needs at least input and output widths")
-        self.widths = tuple(int(w) for w in widths)
-        self.weights: list[Array] = []
-        self.biases: list[Array] = []
-        for fan_in, fan_out in zip(self.widths[:-1], self.widths[1:]):
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out))
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-    def forward(self, z: Array) -> Array:
-        """Normalized input (, in) or (batch, in) to normalized output."""
-        a = z
-        for i in range(self.n_layers - 1):
-            a = np.tanh(a @ self.weights[i].T + self.biases[i])
-        return a @ self.weights[-1].T + self.biases[-1]
-
-    def forward_cached(self, z: Array) -> tuple[Array, list[Array]]:
-        """Forward pass keeping hidden activations for backprop."""
-        acts = []
-        a = z
-        for i in range(self.n_layers - 1):
-            a = np.tanh(a @ self.weights[i].T + self.biases[i])
-            acts.append(a)
-        return a @ self.weights[-1].T + self.biases[-1], acts
-
-    def backprop(self, z: Array, grad_out: Array, acts: list[Array]) -> list[tuple[Array, Array]]:
-        """Gradients of sum(grad_out * output) w.r.t. weights and biases."""
-        grads: list[tuple[Array, Array]] = [None] * self.n_layers  # type: ignore[list-item]
-        delta = grad_out
-        for i in range(self.n_layers - 1, -1, -1):
-            a_prev = acts[i - 1] if i > 0 else z
-            grads[i] = (delta.T @ a_prev, delta.sum(axis=0))
-            if i > 0:
-                delta = (delta @ self.weights[i]) * (1.0 - acts[i - 1] ** 2)
-        return grads
-
-    def input_jacobian(self, z: Array) -> Array:
-        """Exact (out, in) Jacobian of the normalized map at a single input."""
-        _, acts = self.forward_cached(z[None, :])
-        jac = self.weights[-1]
-        for i in range(self.n_layers - 2, -1, -1):
-            jac = (jac * (1.0 - acts[i][0] ** 2)[None, :]) @ self.weights[i]
-        return jac
-
-    def copy_weights(self) -> list[tuple[Array, Array]]:
-        return [(w.copy(), b.copy()) for w, b in zip(self.weights, self.biases)]
-
-    def load_weights(self, snapshot: list[tuple[Array, Array]]) -> None:
-        self.weights = [w.copy() for w, _ in snapshot]
-        self.biases = [b.copy() for _, b in snapshot]
+    acts = []
+    a = z
+    for w, b in zip(weights[:-1], biases[:-1]):
+        # In place: each (members, rows, width) temporary adds to a full-dataset loss's peak memory.
+        a = a @ w.swapaxes(1, 2)
+        a += b[:, None, :]
+        np.tanh(a, out=a)
+        acts.append(a)
+    return a @ weights[-1].swapaxes(1, 2) + biases[-1][:, None, :], acts
 
 
 @dataclass
 class Ensemble:
-    """Shared-normalizer collection of MLP members predicting dx.
+    """Shared-normalizer MLP members predicting dx, stored once as stacked arrays.
 
-    The mean prediction is the arithmetic mean over members; the input
-    Jacobian of the mean is the mean of member Jacobians. Treat a trained
-    ensemble as immutable: prediction and Jacobian evaluation are pure.
+    Layer i is ``weights[i]``, (members, out, in), and ``biases[i]``,
+    (members, out). The mean prediction is the mean over members, and its
+    input Jacobian the mean of member Jacobians. Treat a trained ensemble as
+    immutable: prediction and Jacobian evaluation are pure.
     """
 
-    members: list[MlpModel]
+    weights: list[Array]
+    biases: list[Array]
     normalizer: Normalizer
-    n: int
-    m: int
-    seed: int
+
+    @property
+    def n(self) -> int:
+        return self.weights[-1].shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.weights[0].shape[2] - self.n
 
     def _check(self, x: Array, u: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
         if x.shape[-1] != self.n or u.shape[-1] != self.m:
             raise ValueError(f"expected trailing dims ({self.n},), ({self.m},), got {x.shape}, {u.shape}")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+        xu = np.concatenate([x, u], axis=-1)
+        if not np.isfinite(xu).all():
             raise ValueError("non-finite model input")
-        return np.concatenate([x, u], axis=-1)
+        return xu
 
     def predict_mean(self, x: Array, u: Array) -> Array:
         """Denormalized mean increment prediction; supports leading batch axes."""
-        z = self.normalizer.norm_in(self._check(x, u))
-        out = self.members[0].forward(z)
-        for member in self.members[1:]:
-            out = out + member.forward(z)
-        return self.normalizer.denorm_out(out / len(self.members))
+        xu = self._check(x, u)
+        out, _ = forward(self.weights, self.biases, self.normalizer.norm_in(xu.reshape(-1, xu.shape[-1])))
+        mean = self.normalizer.denorm_out(out.sum(axis=0) / len(out))
+        return mean.reshape(xu.shape[:-1] + (self.n,))
 
     @cached_property
     def planning_map(self) -> "PlanningMap":
-        """Float32 stacked copy of predict_mean, built on first use.
+        """Float32 folded copy of predict_mean, built on first use.
 
         The cache is safe because a trained ensemble is never mutated:
         ``train`` returns a new Ensemble.
@@ -180,36 +138,33 @@ class Ensemble:
     def jacobian_u(self, x: Array, u: Array) -> Array:
         """Analytic (n, m) Jacobian of predict_mean with respect to u."""
         z = self.normalizer.norm_in(self._check(x, u))
-        jac = self.members[0].input_jacobian(z)
-        for member in self.members[1:]:
-            jac = jac + member.input_jacobian(z)
-        jac = jac / len(self.members)
-        full = unnormalize_jacobian(jac, self.normalizer.sd_out, self.normalizer.sd_in)
+        _, acts = forward(self.weights, self.biases, z[None, :])
+        jac = self.weights[-1]
+        for w, a in zip(self.weights[-2::-1], acts[::-1]):
+            jac = (jac * (1.0 - a**2)) @ w
+        full = unnormalize_jacobian(jac.sum(axis=0) / len(jac), self.normalizer.sd_out, self.normalizer.sd_in)
         return full[:, self.n:]
 
 
 class PlanningMap:
     """The ensemble mean map in float32, for the planner's batched rollouts.
 
-    Member weights are stacked and pre-transposed as (members, in, out)
-    arrays. ``norm_in`` is folded into the first layer, and the member mean
-    and ``denorm_out`` into the last, so one call takes raw [x | u] rows to
-    raw mean increments: tanh layers over the stacked (members, rows, width)
-    activations, then a sum over members. It agrees with ``predict_mean`` to
-    float32 precision; everything else reads the float64 ensemble.
+    A float32 cast of the stacked weights as (members, in, out) arrays, with
+    ``norm_in`` folded into the first layer and the member mean and
+    ``denorm_out`` into the last, so one call takes raw [x | u] rows to raw
+    mean increments. It agrees with ``predict_mean`` to float32 precision;
+    everything else reads the float64 ensemble.
     """
 
     def __init__(self, ensemble: Ensemble):
         norm = ensemble.normalizer
-        members = ensemble.members
-        layers = range(members[0].n_layers)
-        weights = [np.stack([net.weights[i].T for net in members]) for i in layers]
-        biases = [np.stack([net.biases[i] for net in members]) for i in layers]
+        weights = [w.swapaxes(1, 2) for w in ensemble.weights]
+        biases = list(ensemble.biases)
         # (xu - mu_in) / sd_in @ W  ==  xu @ (W / sd_in) - (mu_in / sd_in) @ W
         biases[0] = biases[0] - (norm.mu_in / norm.sd_in) @ weights[0]
         weights[0] = weights[0] / norm.sd_in[:, None]
         # mean over members of (a @ W + b) * sd_out + mu_out
-        weights[-1] = weights[-1] * (norm.sd_out / len(members))
+        weights[-1] = weights[-1] * (norm.sd_out / len(weights[-1]))
         biases[-1] = biases[-1].mean(axis=0) * norm.sd_out + norm.mu_out
         self.weights = [np.ascontiguousarray(w, dtype=np.float32) for w in weights]
         self.biases = [b[:, None, :].astype(np.float32) for b in biases[:-1]] + [biases[-1].astype(np.float32)]
@@ -235,8 +190,12 @@ def make_ensemble(
     """Fresh ensemble with distinct member initializations and identity stats."""
     widths = (n + m, *hidden, n)
     root = np.random.default_rng([seed, 0x6D6F64])
-    nets = [MlpModel(widths, np.random.default_rng(root.integers(2**63))) for _ in range(members)]
-    return Ensemble(members=nets, normalizer=Normalizer.identity(n + m, n), n=n, m=m, seed=seed)
+    rngs = [np.random.default_rng(root.integers(2**63)) for _ in range(members)]
+    weights = []
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(np.stack([rng.uniform(-bound, bound, size=(fan_out, fan_in)) for rng in rngs]))
+    return Ensemble(weights, [np.zeros(w.shape[:2]) for w in weights], Normalizer.identity(n + m, n))
 
 
 class TransitionDataset:
@@ -258,12 +217,10 @@ class TransitionDataset:
         return len(self._x)
 
     def append(self, x: Array, u: Array, x_next: Array) -> bool:
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        x_next = np.asarray(x_next, dtype=float)
+        x, u, x_next = (np.asarray(a, dtype=float) for a in (x, u, x_next))
         if x.shape != (self.n,) or u.shape != (self.m,) or x_next.shape != (self.n,):
             raise ValueError("dataset row has wrong dimensions")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u)) and np.all(np.isfinite(x_next))):
+        if not np.isfinite(np.concatenate([x, u, x_next])).all():
             self.n_rejected += 1
             return False
         self._x.append(x)
@@ -296,10 +253,10 @@ class TrainOptions:
 
 @dataclass
 class TrainReport:
-    initial_val: list[float] = field(default_factory=list)
-    final_train: list[float] = field(default_factory=list)
-    best_val: list[float] = field(default_factory=list)
-    epochs_run: list[int] = field(default_factory=list)
+    initial_val: list[float]
+    final_train: list[float]
+    best_val: list[float]
+    epochs_run: list[int]
 
 
 class _Adam:
@@ -322,17 +279,31 @@ class _Adam:
             p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-def _mse(member: MlpModel, z: Array, y: Array) -> float:
-    pred = member.forward(z)
-    return float(np.mean((pred - y) ** 2))
+def _mse(weights: list[Array], biases: list[Array], z: Array, y: Array) -> Array:
+    """Per-member mean squared error, as a (members,) array."""
+    out, _ = forward(weights, biases, z)
+    return np.mean((out - y) ** 2, axis=(1, 2))
+
+
+def _grads(weights: list[Array], z: Array, delta: Array, acts: list[Array]) -> list[Array]:
+    """Stacked gradients of sum(delta * output): every layer's weights, then its biases."""
+    ins = [z, *acts]
+    g_w, g_b = [None] * len(weights), [None] * len(weights)
+    for i in range(len(weights) - 1, -1, -1):
+        g_w[i], g_b[i] = delta.swapaxes(1, 2) @ ins[i], delta.sum(axis=1)
+        if i > 0:
+            delta = (delta @ weights[i]) * (1.0 - ins[i] ** 2)
+    return g_w + g_b
 
 
 def train(ensemble: Ensemble, data: TransitionDataset, opts: TrainOptions) -> tuple[Ensemble, TrainReport]:
     """Train every member on the normalized increment loss with early stopping.
 
-    The normalizer is refit on the training split only, members keep their
-    own shuffle streams, and the best-validation weights are restored. Returns
-    a new Ensemble bound to the refit normalizer plus per-member losses.
+    The normalizer is refit on the training split only. Members step in
+    lockstep, each on its own shuffle stream, until the last one stops; a
+    stopped member's losses are no longer read, and each member's
+    best-validation weights are restored. Returns a new Ensemble bound to the
+    refit normalizer plus per-member losses.
     """
     if len(data) == 0:
         raise ConfigError("training dataset is empty")
@@ -343,8 +314,7 @@ def train(ensemble: Ensemble, data: TransitionDataset, opts: TrainOptions) -> tu
     inputs = np.concatenate([xs, us], axis=1)
     targets = xns - xs
 
-    rng = np.random.default_rng([opts.seed, 0x7472])
-    perm = rng.permutation(len(inputs))
+    perm = np.random.default_rng([opts.seed, 0x7472]).permutation(len(inputs))
     n_val = max(1, int(round(opts.val_fraction * len(inputs))))
     val_idx, tr_idx = perm[:n_val], perm[n_val:]
     if len(tr_idx) == 0:
@@ -356,48 +326,40 @@ def train(ensemble: Ensemble, data: TransitionDataset, opts: TrainOptions) -> tu
     z_val = normalizer.norm_in(inputs[val_idx])
     y_val = normalizer.norm_out(targets[val_idx])
 
-    report = TrainReport()
-    new_members: list[MlpModel] = []
-    for idx, member in enumerate(ensemble.members):
-        net = MlpModel(member.widths, np.random.default_rng(0))
-        net.load_weights(member.copy_weights())
-        member_rng = np.random.default_rng([opts.seed, 0x6D62, idx])
-        params = net.weights + net.biases
-        adam = _Adam(params, opts.lr)
+    n_layers = len(ensemble.weights)
+    params = [p.copy() for p in ensemble.weights + ensemble.biases]
+    weights, biases = params[:n_layers], params[n_layers:]
+    adam = _Adam(params, opts.lr)
+    initial_val = _mse(weights, biases, z_val, y_val)
+    member_rngs = [np.random.default_rng([opts.seed, 0x6D62, k]) for k in range(len(initial_val))]
+    best_val, best = initial_val.copy(), [p.copy() for p in params]
+    best_epoch, epochs_run = np.zeros((2, len(initial_val)), dtype=int)
+    active = np.ones(len(initial_val), dtype=bool)
+    for epoch in range(1, opts.max_epochs + 1):
+        if not active.any():
+            break
+        order = np.stack([r.permutation(len(z_tr)) for r in member_rngs])
+        for start in range(0, len(z_tr), opts.batch_size):
+            batch = order[:, start : start + opts.batch_size]
+            zb, yb = z_tr[batch], y_tr[batch]
+            pred, acts = forward(weights, biases, zb)
+            grad_out = 2.0 * (pred - yb) / (batch.shape[1] * yb.shape[2])
+            adam.step(params, _grads(weights, zb, grad_out, acts))
+        val_loss = _mse(weights, biases, z_val, y_val)
+        epochs_run[active] = epoch
+        diverged = active & ~np.isfinite(val_loss)
+        if diverged.any():
+            raise TrainingDivergenceError(f"member {np.argmax(diverged)}: non-finite validation loss at epoch {epoch}")
+        improved = active & (val_loss < best_val)
+        best_val[improved] = val_loss[improved]
+        best_epoch[improved] = epoch
+        for b, p in zip(best, params):
+            b[improved] = p[improved]
+        active &= improved | (epoch - best_epoch < opts.patience)
 
-        best_val = _mse(net, z_val, y_val)
-        report.initial_val.append(best_val)
-        best_snapshot = net.copy_weights()
-        best_epoch = 0
-        epoch = 0
-        for epoch in range(1, opts.max_epochs + 1):
-            order = member_rng.permutation(len(z_tr))
-            for start in range(0, len(order), opts.batch_size):
-                batch = order[start : start + opts.batch_size]
-                zb, yb = z_tr[batch], y_tr[batch]
-                pred, acts = net.forward_cached(zb)
-                grad_out = 2.0 * (pred - yb) / (len(batch) * yb.shape[1])
-                grads = net.backprop(zb, grad_out, acts)
-                flat = [g for g, _ in grads] + [g for _, g in grads]
-                adam.step(params, flat)
-            val_loss = _mse(net, z_val, y_val)
-            if not np.isfinite(val_loss):
-                raise TrainingDivergenceError(f"member {idx}: non-finite validation loss at epoch {epoch}")
-            if val_loss < best_val:
-                best_val = val_loss
-                best_snapshot = net.copy_weights()
-                best_epoch = epoch
-            elif epoch - best_epoch >= opts.patience:
-                break
-        net.load_weights(best_snapshot)
-        train_loss = _mse(net, z_tr, y_tr)
-        if not np.isfinite(train_loss):
-            raise TrainingDivergenceError(f"member {idx}: non-finite training loss")
-        report.final_train.append(train_loss)
-        report.best_val.append(best_val)
-        report.epochs_run.append(epoch)
-        new_members.append(net)
-
-    trained = Ensemble(members=new_members, normalizer=normalizer, n=ensemble.n, m=ensemble.m, seed=ensemble.seed)
-    return trained, report
-
+    weights, biases = best[:n_layers], best[n_layers:]
+    final_train = _mse(weights, biases, z_tr, y_tr)
+    if not np.isfinite(final_train).all():
+        raise TrainingDivergenceError(f"member {np.argmin(np.isfinite(final_train))}: non-finite training loss")
+    report = TrainReport(initial_val.tolist(), final_train.tolist(), best_val.tolist(), epochs_run.tolist())
+    return Ensemble(weights=weights, biases=biases, normalizer=normalizer), report

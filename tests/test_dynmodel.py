@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from l1aug.dynmodel import (
     Ensemble,
-    MlpModel,
     Normalizer,
     TrainOptions,
     TrainingDivergenceError,
@@ -133,7 +134,7 @@ def test_constant_target_regression():
 
 def test_members_have_distinct_weights():
     ens = make_ensemble(2, 1, members=3, seed=0)
-    w0, w1, w2 = (member.weights[0] for member in ens.members)
+    w0, w1, w2 = ens.weights[0]
     assert not np.array_equal(w0, w1)
     assert not np.array_equal(w1, w2)
 
@@ -146,16 +147,37 @@ def test_training_monotonicity_across_seeds(linear_dataset):
             assert best <= init
 
 
-def test_training_divergence_names_member():
+def noisy_dataset(rows, seed):
     ds = TransitionDataset(1, 1)
-    rng = np.random.default_rng(0)
-    for _ in range(128):
+    rng = np.random.default_rng(seed)
+    for _ in range(rows):
         x = rng.normal(size=1)
         ds.append(x, rng.normal(size=1), x + rng.normal(size=1))
-    ens = make_ensemble(1, 1, hidden=(8,), members=2, seed=0)
-    ens.members[1].weights[0][:] = np.nan
-    with pytest.raises(TrainingDivergenceError, match="member 1"):
-        train(ens, ds, TrainOptions(max_epochs=5, seed=0))
+    return ds
+
+
+@pytest.mark.parametrize("poisoned", [0, 1, 2])
+def test_training_divergence_names_member(poisoned):
+    # Members train in lockstep, so a NaN member must not leak into its siblings.
+    ens = make_ensemble(1, 1, hidden=(8,), members=3, seed=0)
+    ens.weights[0][poisoned] = np.nan
+    with pytest.raises(TrainingDivergenceError, match=f"member {poisoned}:"):
+        train(ens, noisy_dataset(128, 0), TrainOptions(max_epochs=5, seed=0))
+
+
+def test_lockstep_training_keeps_members_independent():
+    # Member 0 trained alone and beside two siblings that stop at other
+    # epochs: it keeps stepping after its own stop only in the trio, so its
+    # restored best weights pin the freeze-and-snapshot bookkeeping.
+    data, opts = noisy_dataset(200, 0), TrainOptions(lr=1e-2, patience=3, seed=0)
+    solo, solo_report = train(make_ensemble(1, 1, hidden=(16, 16), members=1, seed=0), data, opts)
+    trio, trio_report = train(make_ensemble(1, 1, hidden=(16, 16), members=3, seed=0), data, opts)
+    for a, b in zip(solo.weights + solo.biases, trio.weights + trio.biases):
+        assert np.array_equal(a[0], b[0])
+    for name in ("initial_val", "best_val", "final_train", "epochs_run"):
+        assert getattr(solo_report, name)[0] == getattr(trio_report, name)[0]
+    assert len(set(trio_report.epochs_run)) > 1
+    assert max(trio_report.epochs_run) > trio_report.epochs_run[0]
 
 
 # --- Prediction and ensemble arithmetic ----------------------------------------
@@ -163,8 +185,11 @@ def test_training_divergence_names_member():
 
 def member_output(ens, idx, x, u):
     """One member's denormalized prediction, through the shared normalizer."""
-    z = ens.normalizer.norm_in(np.concatenate([x, u], axis=-1))
-    return ens.normalizer.denorm_out(ens.members[idx].forward(z))
+    a = ens.normalizer.norm_in(np.concatenate([x, u], axis=-1))
+    for i, (w, b) in enumerate(zip(ens.weights, ens.biases)):
+        a = a @ w[idx].T + b[idx]
+        a = np.tanh(a) if i < len(ens.weights) - 1 else a
+    return ens.normalizer.denorm_out(a)
 
 
 def test_predict_mean_single_member_equals_member():
@@ -184,15 +209,13 @@ def test_predict_mean_is_mean_of_members():
 
 def test_symmetric_members_cancel():
     # Two members whose outputs are +v and -v around mu_out average to denorm(0).
-    ens = make_ensemble(1, 1, hidden=(4,), members=2, seed=0)
-    m0, m1 = ens.members
-    for i in range(m0.n_layers):
-        m1.weights[i] = m0.weights[i].copy()
-        m1.biases[i] = m0.biases[i].copy()
-    m1.weights[-1] = -m1.weights[-1]
-    m1.biases[-1] = -m1.biases[-1]
+    base = make_ensemble(1, 1, hidden=(4,), members=2, seed=0)
+    weights = [np.stack([w[0], w[0]]) for w in base.weights]
+    biases = [np.stack([b[0], b[0]]) for b in base.biases]
+    weights[-1][1] = -weights[-1][1]
+    biases[-1][1] = -biases[-1][1]
     norm = Normalizer(np.zeros(2), np.ones(2), np.array([0.7]), np.array([2.0]))
-    ens = Ensemble(members=[m0, m1], normalizer=norm, n=1, m=1, seed=0)
+    ens = Ensemble(weights=weights, biases=biases, normalizer=norm)
     out = ens.predict_mean(np.array([0.4]), np.array([-0.2]))
     assert out[0] == pytest.approx(0.7, abs=1e-12)
 
@@ -218,7 +241,7 @@ def assert_plan_matches_mean(ens, xs, us, rtol=1e-5):
 def test_planning_map_matches_trained_ensemble(linear_ensemble):
     trained, _ = linear_ensemble
     rng = np.random.default_rng(8)
-    assert len(trained.members) == 3
+    assert len(trained.weights[0]) == 3
     assert_plan_matches_mean(trained, rng.uniform(-2, 2, (200, 2)), rng.uniform(-2, 2, (200, 1)))
 
 
@@ -226,9 +249,8 @@ def test_planning_map_matches_single_member_and_linear_nets():
     rng = np.random.default_rng(4)
     norm = Normalizer(mu_in=rng.normal(size=5), sd_in=rng.uniform(0.5, 2.0, 5),
                       mu_out=rng.normal(size=3), sd_out=rng.uniform(0.5, 2.0, 3))
-    for hidden, members in (((16, 16), 1), ((), 1), ((), 3), ((8,), 2)):
-        base = make_ensemble(3, 2, hidden=hidden, members=members, seed=6)
-        ens = Ensemble(members=base.members, normalizer=norm, n=3, m=2, seed=6)
+    for hidden, members in (((16, 16), 1), ((), 1), ((), 3), ((8,), 2), ((16,), 4)):
+        ens = replace(make_ensemble(3, 2, hidden=hidden, members=members, seed=6), normalizer=norm)
         assert_plan_matches_mean(ens, rng.normal(size=(50, 3)), rng.normal(size=(50, 2)))
 
 
@@ -267,14 +289,12 @@ def assert_gradcheck(ens, x, u):
 
 def test_jacobian_matches_finite_differences_random_models():
     rng = np.random.default_rng(7)
-    ens = make_ensemble(3, 2, hidden=(24, 24), members=3, seed=5)
-    ens = Ensemble(
-        members=ens.members,
+    ens = replace(
+        make_ensemble(3, 2, hidden=(24, 24), members=3, seed=5),
         normalizer=Normalizer(
             mu_in=rng.normal(size=5), sd_in=rng.uniform(0.5, 2.0, 5),
             mu_out=rng.normal(size=3), sd_out=rng.uniform(0.5, 2.0, 3),
         ),
-        n=3, m=2, seed=5,
     )
     for _ in range(25):
         assert_gradcheck(ens, rng.normal(size=3), rng.normal(size=2))
@@ -289,11 +309,10 @@ def test_jacobian_matches_finite_differences_trained(linear_ensemble):
 
 def test_linear_member_jacobian_is_scaled_weight():
     # A net with no hidden layer is the linear map W z + b.
-    net = MlpModel((3, 2), np.random.default_rng(0))
     norm = Normalizer(
         mu_in=np.zeros(3), sd_in=np.array([1.0, 2.0, 4.0]),
         mu_out=np.zeros(2), sd_out=np.array([3.0, 0.5]),
     )
-    ens = Ensemble(members=[net], normalizer=norm, n=2, m=1, seed=0)
-    expected = norm.sd_out[:, None] * net.weights[0][:, 2:] / norm.sd_in[None, 2:]
+    ens = replace(make_ensemble(2, 1, hidden=(), members=1, seed=0), normalizer=norm)
+    expected = norm.sd_out[:, None] * ens.weights[0][0][:, 2:] / norm.sd_in[None, 2:]
     assert np.allclose(ens.jacobian_u(np.zeros(2), np.zeros(1)), expected, atol=1e-15)
