@@ -6,7 +6,7 @@ input only: dx ~ g(x) + h(x) u with h(x) the input Jacobian evaluated at
 at the current operating point, the caller re-anchors at the current input.
 
 Any object exposing ``predict_mean(x, u)`` and ``jacobian_u(x, u)`` can be
-affinized; the trained ensemble and the analytic models used by the
+affinized; the trained ensemble and the synthetic specs of the
 verification harness both satisfy that protocol.
 """
 

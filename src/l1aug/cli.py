@@ -100,7 +100,7 @@ class RunConfig:
     mpc: MpcConfig = field(default_factory=MpcConfig)
     l1: L1Section = field(default_factory=L1Section)
     loop: LoopConfig = field(default_factory=LoopConfig)
-    seeds: list = field(default_factory=lambda: [0])
+    seeds: list[int] = field(default_factory=lambda: [0])
     out: str | None = None
     ablation_grid: bool = False
 
@@ -126,14 +126,14 @@ class VerifyConfig:
 class CompareConfig:
     name: str = "compare"
     env: EnvSection = field(default_factory=EnvSection)
-    scenarios: list = field(default_factory=lambda: [{"kind": "none"}])
+    scenarios: list[DisturbanceSpec] = field(default_factory=lambda: [DisturbanceSpec()])
     model: ModelSection = field(default_factory=ModelSection)
     mpc: MpcConfig = field(default_factory=MpcConfig)
     l1: L1Section = field(default_factory=L1Section)
     loop: LoopConfig = field(default_factory=LoopConfig)
     sim_to_real: bool = False
     eval_episodes: int = 4
-    seeds: list = field(default_factory=lambda: [0])
+    seeds: list[int] = field(default_factory=lambda: [0])
     out: str | None = None
     report_window: int = 5
 
@@ -158,15 +158,25 @@ def _from_dict(cls, data, path="config"):
     unknown = set(data) - set(allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}; allowed: {allowed}")
-    for name, value in data.items():
-        if hints[name] is bool and not isinstance(value, bool):
-            raise ConfigError(f"{path}.{name}: expected true or false, got {value!r}")
-    kwargs = {
-        name: _from_dict(hints[name], value, f"{path}.{name}") if dataclasses.is_dataclass(hints[name]) else value
-        for name, value in data.items()
-    }
+    kwargs = {name: _load_value(hints[name], value, f"{path}.{name}") for name, value in data.items()}
     with _config_section(path):
         return cls(**kwargs)
+
+
+def _load_value(hint, value, path):
+    """One config value checked against its type hint: a section, a list of hinted items, a flag or an integer."""
+    if dataclasses.is_dataclass(hint):
+        return _from_dict(hint, value, path)
+    if typing.get_origin(hint) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        (item,) = typing.get_args(hint)
+        return [_load_value(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if hint is bool and not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false, got {value!r}")
+    if hint is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
 
 
 def load_config(cls, path: str | Path):
@@ -207,8 +217,7 @@ def resolve_config(cfg, seed_override: tuple[int, ...] = (), out_override: str |
         cfg.out = out_override
     elif cfg.out is None:
         cfg.out = f"runs/{cfg.name}"
-    with _config_section("seeds"):
-        cfg.seeds = [int(s) for s in (seed_override or cfg.seeds)]
+    cfg.seeds = list(seed_override or cfg.seeds)
     if not cfg.seeds:
         raise ConfigError("seeds list must not be empty")
     _build_pieces(cfg)
@@ -270,19 +279,7 @@ def _emit_run_outputs(directory: Path, cfg: RunConfig, records: list[tuple[int, 
         fh.write("iteration,seed,mean_return,std_return\n")
         for row in curve_rows:
             fh.write(",".join(row) + "\n")
-    _write_meta(directory, cfg, {"losses": _jsonable(list(merged.iteration_losses))})
-
-
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    _write_meta(directory, cfg, {"losses": merged.iteration_losses})
 
 
 def _grid_variants(cfg: RunConfig) -> list[RunConfig]:
@@ -373,7 +370,7 @@ def cmd_verify(config_path, out_override):
         report["assumption"] = assumption
         report["pass"] = bool(report["pass"] and assumption["passed"])
         with open(directory / "bound_report.json", "w") as fh:
-            json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         _write_meta(directory, cfg)
     except Exception:
@@ -439,15 +436,14 @@ def cmd_compare(config_path, seed_override, out_override, jobs):
     """Paired baseline-vs-augmented runs per scenario on shared seeds."""
     try:
         cfg = resolve_config(load_config(CompareConfig, config_path), seed_override, out_override)
-        if not isinstance(cfg.scenarios, list) or not cfg.scenarios:
+        if not cfg.scenarios:
             raise ConfigError("scenarios must be a non-empty list")
-        scenarios = [_from_dict(DisturbanceSpec, s, f"{config_path}.scenarios[{i}]") for i, s in enumerate(cfg.scenarios)]
     except ConfigError as exc:
         _config_error(exc)
 
     directory = out_dir(cfg.out)
     cells = [(si, scenario, seed, use_l1)
-             for si, scenario in enumerate(scenarios)
+             for si, scenario in enumerate(cfg.scenarios)
              for seed in cfg.seeds
              for use_l1 in (False, True)]
     results: dict[tuple[int, int, bool], float] = {}
@@ -472,7 +468,7 @@ def cmd_compare(config_path, seed_override, out_override, jobs):
         return "_".join(bits)
 
     lines = ["scenario,arm,mean_return,std_return,n_seeds,l1_wins,l1_losses,sign_p"]
-    for si, scenario in enumerate(scenarios):
+    for si, scenario in enumerate(cfg.scenarios):
         base = [results[(si, seed, False)] for seed in cfg.seeds]
         aug = [results[(si, seed, True)] for seed in cfg.seeds]
         wins = sum(a > b for a, b in zip(aug, base))

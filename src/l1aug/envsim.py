@@ -8,6 +8,7 @@ observation noise on the reported next state.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -119,15 +120,13 @@ class Transition:
     """One executed step: true state in, observed next state out.
 
     ``u_applied`` is the clamped command actually handed to the actuators
-    (before actuation noise, which is the environment's business), and
-    ``u_logged`` is what the learner stores (the baseline input when the
-    adaptive loop is active). ``x_next`` carries observation noise when
-    configured; ``x_next_true`` is the internal state to continue from.
+    (before actuation noise, which is the environment's business).
+    ``x_next`` carries observation noise when configured; ``x_next_true`` is
+    the internal state to continue from.
     """
 
     x: Array
     u_applied: Array
-    u_logged: Array
     x_next: Array
     x_next_true: Array
     reward: float
@@ -165,7 +164,6 @@ def step_true(
     u: Array,
     t: int,
     rng: np.random.Generator,
-    u_logged: Array | None = None,
 ) -> Transition:
     """Execute one discrete step of the true disturbed system.
 
@@ -196,15 +194,7 @@ def step_true(
         x_next = x_next_true + rng.uniform(-dist.sigma_o, dist.sigma_o, size=env.n)
 
     r = float(env.reward(x, u_cmd))
-    return Transition(
-        x=x,
-        u_applied=u_cmd,
-        u_logged=u_cmd if u_logged is None else np.asarray(u_logged, dtype=float),
-        x_next=x_next,
-        x_next_true=x_next_true,
-        reward=r,
-        t=t,
-    )
+    return Transition(x=x, u_applied=u_cmd, x_next=x_next, x_next_true=x_next_true, reward=r, t=t)
 
 
 # --- Environment catalog ----------------------------------------------------
@@ -330,16 +320,18 @@ _CATALOG: dict[str, Callable[..., EnvSpec]] = {
 }
 
 
+def build_from_catalog(catalog: dict[str, Callable], name: str, kwargs: dict, kind: str, keys: str):
+    """``catalog[name](**kwargs)``, with an unknown name or keyword reported as a ConfigError."""
+    if name not in catalog:
+        raise ConfigError(f"unknown {kind} {name!r}; expected one of {sorted(catalog)}")
+    builder = catalog[name]
+    allowed = set(inspect.signature(builder).parameters)
+    unknown = set(kwargs) - allowed
+    if unknown:
+        raise ConfigError(f"{kind} {name}: unknown {keys} {sorted(unknown)}; allowed: {sorted(allowed)}")
+    return builder(**kwargs)
+
+
 def make_env(name: str, overrides: dict | None = None) -> EnvSpec:
     """Build a catalog environment, optionally overriding its constants."""
-    if name not in _CATALOG:
-        raise ConfigError(f"unknown environment {name!r}; expected one of {sorted(_CATALOG)}")
-    builder = _CATALOG[name]
-    overrides = dict(overrides or {})
-    import inspect
-
-    allowed = set(inspect.signature(builder).parameters)
-    unknown = set(overrides) - allowed
-    if unknown:
-        raise ConfigError(f"env {name}: unknown override keys {sorted(unknown)}; allowed: {sorted(allowed)}")
-    return builder(**overrides)
+    return build_from_catalog(_CATALOG, name, dict(overrides or {}), "environment", "override keys")

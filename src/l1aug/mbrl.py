@@ -18,7 +18,7 @@ import numpy as np
 
 from .affine import AffineModel, SwitchEvent, reanchor
 from .dynmodel import Ensemble, TrainOptions, TransitionDataset, make_ensemble, train
-from .envsim import DisturbanceSpec, EnvSpec, EpisodeDiverged, Transition, step_true
+from .envsim import DisturbanceSpec, EnvSpec, EpisodeDiverged, step_true
 from .l1core import L1Config, L1State, l1_control
 
 Array = np.ndarray
@@ -104,14 +104,51 @@ def mpc_action(model: Ensemble, env: EnvSpec, x: Array, mpc: MpcConfig, rng: np.
     return cands[best, 0, :]
 
 
+def _step_fields(n: int, m: int) -> tuple[tuple[str, int | None], ...]:
+    """The per-step trace fields in column order: (name, width), width None for a scalar."""
+    return (("t", None), ("x", n), ("xhat", n), ("xtilde", n), ("sigma", n), ("sigma_m", m),
+            ("sigma_um", max(n - m, 0)), ("u_rl", m), ("u_a", m), ("u", m),
+            ("reward", None), ("switch", None), ("switch_residual", None), ("anchor_norm", None))
+
+
+def step_columns(n: int, m: int) -> dict[str, int | slice]:
+    """Where each field sits in a row of ``EpisodeResult.rows``: an index for a scalar, a slice for a vector."""
+    cols, start = {}, 0
+    for name, width in _step_fields(n, m):
+        cols[name] = start if width is None else slice(start, start + width)
+        start += 1 if width is None else width
+    return cols
+
+
+TRACE_KEYS = ["phase", "iteration", "episode", "seed"]
+
+
+def trace_columns(n: int, m: int) -> list[str]:
+    cols = list(TRACE_KEYS)
+    for name, width in _step_fields(n, m):
+        cols += [name] if width is None else [f"{name}{i}" for i in range(width)]
+    return cols
+
+
 @dataclass
 class EpisodeResult:
-    transitions: list[Transition]
-    rows: list[dict]
+    """One episode, one float row per executed step.
+
+    ``rows`` has the columns of ``step_columns``; NaN marks a value that does
+    not exist: with the adaptive loop off, the controller columns from
+    ``xhat`` to ``u_a`` plus ``switch_residual`` and ``anchor_norm``.
+    ``x_next`` holds the observed next state of each step.
+    """
+
+    rows: Array
+    x_next: Array
     episode_return: float
-    steps: int
     terminated_early: bool
     switch_events: list[SwitchEvent]
+
+    @property
+    def steps(self) -> int:
+        return len(self.rows)
 
 
 def run_episode(
@@ -128,102 +165,67 @@ def run_episode(
 
     Each step samples the baseline input, re-anchors if the affine residual
     at (x_t, u_RL) reaches eps_a, augments the input when the adaptive loop
-    is on, executes on the true system, and stores (x_t, u_RL, x_{t+1}). The
-    controller and the stored rows see observations; the integrator sees the
+    is on, executes on the true system, and records (x_t, u_RL, x_{t+1}). The
+    controller and the recorded rows see observations; the integrator sees the
     true state. Divergence ends the episode with partial data retained.
     """
     x_true = env.x0_sampler(rng) if x0 is None else np.asarray(x0, dtype=float)
     x_obs = x_true
     l1 = L1State.initial(x_obs, env.m)
     am: AffineModel | None = None
-    transitions: list[Transition] = []
-    rows: list[dict] = []
+    c = step_columns(env.n, env.m)
+    rows = np.full((env.horizon, len(trace_columns(env.n, env.m)) - len(TRACE_KEYS)), np.nan)
+    x_next = np.empty((env.horizon, env.n))
     events: list[SwitchEvent] = []
     episode_return = 0.0
     terminated = False
-
+    steps = 0
     for t in range(env.horizon):
         if not env.in_state_bounds(x_true):
             terminated = True
             break
         u_rl = mpc_action(model, env, x_obs, mpc, rng)
-
-        switch_flag = 0
-        residual = None
-        xhat_t = l1.xhat
+        row = rows[t]
+        row[c["switch"]] = 0
         if use_l1:
+            row[c["xhat"]] = l1.xhat
             previous = am
             am, decision = reanchor(am, model, x_obs, u_rl, l1cfg.eps_a)
-            residual = 0.0 if decision is None else decision.residual
+            row[c["switch_residual"]] = 0.0 if decision is None else decision.residual
             if decision is not None and decision.switch:
-                events.append(SwitchEvent(t=t, old_anchor=previous.ubar, new_anchor=am.ubar, residual=residual))
-                switch_flag = 1
+                events.append(SwitchEvent(t=t, old_anchor=previous.ubar, new_anchor=am.ubar, residual=decision.residual))
+                row[c["switch"]] = 1
             u_cmd, l1 = l1_control(u_rl, x_obs, am, l1, l1cfg)
+            row[c["anchor_norm"]] = np.linalg.norm(am.ubar)
         else:
             u_cmd = u_rl
 
         try:
-            trans = step_true(env, dist, x_true, u_cmd, t, rng, u_logged=u_rl)
+            trans = step_true(env, dist, x_true, u_cmd, t, rng)
         except EpisodeDiverged:
             terminated = True
             break
 
         episode_return += trans.reward
-        transitions.append(Transition(
-            x=x_obs, u_applied=trans.u_applied, u_logged=u_rl,
-            x_next=trans.x_next, x_next_true=trans.x_next_true,
-            reward=trans.reward, t=t,
-        ))
-        rows.append({
-            "t": t,
-            "x": x_obs,
-            "xhat": xhat_t if use_l1 else None,
-            "xtilde": l1.xtilde if use_l1 else None,
-            "sigma": l1.sigma_rate if use_l1 else None,
-            "sigma_m": l1.sigma_m if use_l1 else None,
-            "sigma_um": l1.sigma_um if use_l1 else None,
-            "u_rl": u_rl,
-            "u_a": (trans.u_applied - env.clamp_input(u_rl)) if use_l1 else None,
-            "u": trans.u_applied,
-            "reward": trans.reward,
-            "switch": switch_flag,
-            "switch_residual": residual,
-            "anchor_norm": float(np.linalg.norm(am.ubar)) if am is not None else None,
-        })
+        row[c["t"]] = t
+        row[c["x"]] = x_obs
+        row[c["u_rl"]] = u_rl
+        row[c["u"]] = trans.u_applied
+        row[c["reward"]] = trans.reward
+        if use_l1:
+            row[c["xtilde"]] = l1.xtilde
+            row[c["sigma"]] = l1.sigma_rate
+            row[c["sigma_m"]] = l1.sigma_m
+            row[c["sigma_um"]] = l1.sigma_um
+            row[c["u_a"]] = trans.u_applied - env.clamp_input(u_rl)
+        x_next[t] = trans.x_next
         x_true = trans.x_next_true
         x_obs = trans.x_next
+        steps = t + 1
 
-    return EpisodeResult(
-        transitions=transitions,
-        rows=rows,
-        episode_return=episode_return,
-        steps=len(transitions),
-        terminated_early=terminated,
-        switch_events=events,
-    )
+    return EpisodeResult(rows=rows[:steps], x_next=x_next[:steps], episode_return=episode_return,
+                         terminated_early=terminated, switch_events=events)
 
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def trace_columns(n: int, m: int) -> list[str]:
-    cols = ["phase", "iteration", "episode", "seed", "t"]
-    cols += [f"x{i}" for i in range(n)]
-    cols += [f"xhat{i}" for i in range(n)]
-    cols += [f"xtilde{i}" for i in range(n)]
-    cols += [f"sigma{i}" for i in range(n)]
-    cols += [f"sigma_m{j}" for j in range(m)]
-    cols += [f"sigma_um{k}" for k in range(max(n - m, 0))]
-    cols += [f"u_rl{j}" for j in range(m)]
-    cols += [f"u_a{j}" for j in range(m)]
-    cols += [f"u{j}" for j in range(m)]
-    cols += ["reward", "switch", "switch_residual", "anchor_norm"]
-    return cols
 
 EPISODE_COLUMNS = ["phase", "iteration", "episode", "seed", "steps", "episode_return", "terminated_early", "n_switches"]
 
@@ -232,44 +234,42 @@ EPISODE_COLUMNS = ["phase", "iteration", "episode", "seed", "steps", "episode_re
 class RunRecord:
     """Everything a run produced, in insertion order, ready for CSV emission.
 
+    ``trace`` holds one ``(phase, iteration, episode, seed, rows)`` entry per
+    episode; its rows are formatted only when the trace is written.
     ``dataset`` points at the accumulated training data (not serialized; used
     by audits that cross-check the logged inputs against the trace).
     """
 
     n: int
     m: int
-    trace: list[list[str]] = field(default_factory=list)
+    trace: list[tuple[str, int, int, int, Array]] = field(default_factory=list)
     episodes: list[list[str]] = field(default_factory=list)
     iteration_losses: list[dict] = field(default_factory=list)
     eval_returns: dict[int, list[float]] = field(default_factory=dict)
     dataset: TransitionDataset | None = None
 
     def add_episode(self, phase: str, iteration: int, episode: int, seed: int, result: EpisodeResult) -> None:
-        n_um = max(self.n - self.m, 0)
-        for row in result.rows:
-            rec = [phase, str(iteration), str(episode), str(seed), str(row["t"])]
-            rec += [_fmt(v) for v in row["x"]]
-            for key, width in (("xhat", self.n), ("xtilde", self.n), ("sigma", self.n),
-                               ("sigma_m", self.m), ("sigma_um", n_um)):
-                vals = row[key]
-                rec += [_fmt(v) for v in vals] if vals is not None else [""] * width
-            rec += [_fmt(v) for v in row["u_rl"]]
-            rec += ([_fmt(v) for v in row["u_a"]] if row["u_a"] is not None else [""] * self.m)
-            rec += [_fmt(v) for v in row["u"]]
-            rec += [_fmt(row["reward"]), str(row["switch"]), _fmt(row["switch_residual"]), _fmt(row["anchor_norm"])]
-            self.trace.append(rec)
+        self.trace.append((phase, iteration, episode, seed, result.rows))
         self.episodes.append([
             phase, str(iteration), str(episode), str(seed), str(result.steps),
-            _fmt(result.episode_return), str(int(result.terminated_early)), str(len(result.switch_events)),
+            repr(float(result.episode_return)), str(int(result.terminated_early)), str(len(result.switch_events)),
         ])
         if phase == PHASE_EVAL:
             self.eval_returns.setdefault(iteration, []).append(result.episode_return)
 
     def write_trace_csv(self, path: str | Path) -> None:
+        """Full round-trip floats, integers for ``t`` and ``switch``, and an empty cell for NaN."""
+        c = step_columns(self.n, self.m)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(trace_columns(self.n, self.m))
-            writer.writerows(self.trace)
+            for phase, iteration, episode, seed, rows in self.trace:
+                head = [phase, str(iteration), str(episode), str(seed)]
+                for row in rows.tolist():
+                    cells = ["" if v != v else repr(v) for v in row]
+                    cells[c["t"]] = str(int(row[c["t"]]))
+                    cells[c["switch"]] = str(int(row[c["switch"]]))
+                    writer.writerow(head + cells)
 
     def write_episodes_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -303,6 +303,7 @@ def train_loop(
     terminations) keeps the current model and logs empty losses.
     """
     record = RunRecord(n=env.n, m=env.m)
+    c = step_columns(env.n, env.m)
     model = make_ensemble(env.n, env.m, hidden=hidden, members=members, seed=seed)
     dataset = TransitionDataset(env.n, env.m)
     record.dataset = dataset
@@ -320,8 +321,8 @@ def train_loop(
             result = run_episode(env, dist, model, mpc, l1cfg, l1_collect,
                                  episode_rng(seed, iteration, ep, PHASE_COLLECT))
             record.add_episode(PHASE_COLLECT, iteration, ep, seed, result)
-            for trans in result.transitions:
-                dataset.append(trans.x, trans.u_logged, trans.x_next)
+            for row, x_next in zip(result.rows, result.x_next):
+                dataset.append(row[c["x"]], row[c["u_rl"]], x_next)
         losses = {"iteration": iteration, "rows": len(dataset), "train_loss": [], "val_loss": []}
         if len(dataset) >= train_opts.min_rows:
             opts = replace(train_opts, seed=train_opts.seed * 1_000_003 + seed * 1_009 + iteration)

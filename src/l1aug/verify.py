@@ -20,45 +20,21 @@ from typing import Callable
 import numpy as np
 
 from .affine import AffineModel, reanchor
-from .envsim import ConfigError, rk4_step
+from .envsim import ConfigError, build_from_catalog, rk4_step
 from .l1core import L1Config, default_l1_config, l1_input
 
 Array = np.ndarray
-
-
-class _AnalyticModel:
-    """Closed-form rate model wrapped in the ensemble prediction protocol."""
-
-    def __init__(self, fn: Callable[[Array, Array], Array], jac_u: Callable[[Array, Array], Array] | None, m: int):
-        self._fn = fn
-        self._jac_u = jac_u
-        self._m = m
-
-    def predict_mean(self, x: Array, u: Array) -> Array:
-        return self._fn(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
-
-    def jacobian_u(self, x: Array, u: Array) -> Array:
-        if self._jac_u is not None:
-            return self._jac_u(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
-        # Central differences; exact for models affine or quadratic in u.
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        h = 1e-6
-        cols = []
-        for j in range(self._m):
-            e = np.zeros_like(u)
-            e[j] = h
-            cols.append((self._fn(x, u + e) - self._fn(x, u - e)) / (2 * h))
-        return np.stack(cols, axis=1)
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
     """A fully known system for exercising the estimation-error bound.
 
-    The synthetic learned model is F + delta (rates, not increments), so the
-    residual error is W - delta and eps_l must upper-bound its norm over the
-    test box; ``check_assumption_bound`` spot-checks that by sampling.
+    The spec is its own synthetic learned model: ``predict_mean`` is F + delta
+    (rates, not increments) and the field ``jacobian_u`` its input Jacobian in
+    closed form. The residual error is W - delta and eps_l must upper-bound
+    its norm over the test box; ``check_assumption_bound`` spot-checks that
+    by sampling.
     """
 
     n: int
@@ -66,6 +42,7 @@ class SyntheticSpec:
     drift: Callable[[Array, Array], Array]
     disturbance: Callable[[float, Array, Array], Array]
     model_error: Callable[[Array, Array], Array]
+    jacobian_u: Callable[[Array, Array], Array]
     eps_l: float
     eps_a: float
     x0: Array
@@ -77,7 +54,6 @@ class SyntheticSpec:
     t_max: float = 6.0
     ts_grid: tuple[float, ...] = (0.02, 0.01, 0.005)
     substeps: int = 8
-    model_jacobian_u: Callable[[Array, Array], Array] | None = None
 
     def __post_init__(self):
         if self.eps_l < 0 or self.eps_a <= 0:
@@ -85,11 +61,8 @@ class SyntheticSpec:
         if self.t_max <= 0 or not self.ts_grid:
             raise ConfigError("SyntheticSpec: need t_max > 0 and a nonempty ts_grid")
 
-    def model(self) -> _AnalyticModel:
-        def fhat(x: Array, u: Array) -> Array:
-            return self.drift(x, u) + self.model_error(x, u)
-
-        return _AnalyticModel(fhat, self.model_jacobian_u, self.m)
+    def predict_mean(self, x: Array, u: Array) -> Array:
+        return self.drift(x, u) + self.model_error(x, u)
 
     def residual_error(self, t: float, x: Array, u: Array) -> Array:
         """l(t, x, u) = true rate minus model rate = W - delta."""
@@ -122,7 +95,6 @@ def run_bound_experiment(spec: SyntheticSpec, cfg: L1Config) -> ErrorTrace:
     """
     ts = cfg.ts
     n_int = int(round(spec.t_max / ts))
-    model = spec.model()
 
     x = spec.x0.astype(float).copy()
     xtilde = np.zeros(spec.n)
@@ -137,7 +109,7 @@ def run_bound_experiment(spec: SyntheticSpec, cfg: L1Config) -> ErrorTrace:
     for i in range(n_int):
         t0 = i * ts
         u_rl = np.asarray(spec.u_star(t0), dtype=float)
-        am, decision = reanchor(am, model, x, u_rl, spec.eps_a)
+        am, decision = reanchor(am, spec, x, u_rl, spec.eps_a)
         switch_count += int(decision is not None and decision.switch)
 
         # The synthetic model predicts rates; its input gain over one sample is jac * ts.
@@ -296,8 +268,11 @@ def scalar_constant_spec(
     def model_error(x, u):
         return np.zeros(1)
 
+    def jacobian_u(x, u):
+        return np.array([[1.0]])
+
     return SyntheticSpec(
-        n=1, m=1, drift=drift, disturbance=disturbance, model_error=model_error,
+        n=1, m=1, drift=drift, disturbance=disturbance, model_error=model_error, jacobian_u=jacobian_u,
         eps_l=abs(d), eps_a=eps_a,
         x0=np.zeros(1), u_star=lambda t: np.zeros(1),
         state_low=np.array([-5.0]), state_high=np.array([5.0]),
@@ -333,6 +308,9 @@ def default_synthetic_spec(
     def model_error(x, u):
         return np.array([d1 * math.sin(x[0]), d2 * math.tanh(x[1]) + du * math.sin(1.3 * u[0])])
 
+    def jacobian_u(x, u):
+        return np.array([[0.0], [1.0 + du * 1.3 * math.cos(1.3 * u[0])]])
+
     # sup||W - delta|| <= sqrt(d1^2 + (w_const + w_amp + d2 + du)^2)
     eps_l = math.sqrt(d1**2 + (w_const + w_amp + d2 + du) ** 2)
 
@@ -340,7 +318,7 @@ def default_synthetic_spec(
         return np.array([0.8 * math.sin(1.1 * t) + 0.5 * math.sin(0.37 * t + 0.5) + 0.3 * math.sin(2.3 * t + 1.1)])
 
     return SyntheticSpec(
-        n=2, m=1, drift=drift, disturbance=disturbance, model_error=model_error,
+        n=2, m=1, drift=drift, disturbance=disturbance, model_error=model_error, jacobian_u=jacobian_u,
         eps_l=eps_l, eps_a=eps_a,
         x0=np.array([0.3, 0.0]), u_star=u_star,
         state_low=np.array([-4.0, -4.0]), state_high=np.array([4.0, 4.0]),
@@ -356,13 +334,4 @@ SPEC_PRESETS: dict[str, Callable[..., SyntheticSpec]] = {
 
 
 def make_synthetic_spec(preset: str, **kwargs) -> SyntheticSpec:
-    if preset not in SPEC_PRESETS:
-        raise ConfigError(f"unknown synthetic preset {preset!r}; expected one of {sorted(SPEC_PRESETS)}")
-    import inspect
-
-    builder = SPEC_PRESETS[preset]
-    allowed = set(inspect.signature(builder).parameters)
-    unknown = set(kwargs) - allowed
-    if unknown:
-        raise ConfigError(f"preset {preset}: unknown params {sorted(unknown)}; allowed: {sorted(allowed)}")
-    return builder(**kwargs)
+    return build_from_catalog(SPEC_PRESETS, preset, kwargs, "synthetic preset", "params")

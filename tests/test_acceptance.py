@@ -177,10 +177,8 @@ def test_criterion_7_zero_uncertainty_transparency():
     clean = DisturbanceSpec()
     off = run_episode(env, clean, ExactDI(), mpc, l1cfg, False, episode_rng(0, 0, 0, "eval"))
     on = run_episode(env, clean, ExactDI(), mpc, l1cfg, True, episode_rng(0, 0, 0, "eval"))
-    max_ua = max(abs(float(r["u_a"][0])) for r in on.rows)
-    max_traj = max(
-        float(np.max(np.abs(a.x_next - b.x_next))) for a, b in zip(on.transitions, off.transitions)
-    )
+    max_ua = float(np.max(np.abs(on.rows[:, mbrl.step_columns(env.n, env.m)["u_a"]])))
+    max_traj = max(float(np.max(np.abs(a - b))) for a, b in zip(on.x_next, off.x_next))
     ok = max_ua <= 1e-9 and max_traj <= 1e-9 and on.steps == 200
     report(7, ok, f"max |u_a| = {max_ua:.1e}, max trajectory gap = {max_traj:.1e} over 200 steps (tol 1e-9)")
     assert ok
@@ -267,16 +265,14 @@ def test_criterion_9_end_to_end_loop(cartpole_loop):
     augmented_rows = 0
     for record in cartpole_loop["records_on"]:
         xs, us, xns = record.dataset.as_arrays()
-        collect = [row for row in record.trace if row[0] == "collect"]
+        collect = np.concatenate([rows for phase, *_, rows in record.trace if phase == "collect"])
         assert len(collect) == len(xs)
-        cols = mbrl.trace_columns(record.n, record.m)
-        i_url = cols.index("u_rl0")
-        i_u = cols.index("u0")
+        c = mbrl.step_columns(record.n, record.m)
         for row, u_logged in zip(collect, us):
             audited_rows += 1
-            if repr(float(u_logged[0])) != row[i_url]:
+            if u_logged.tobytes() != row[c["u_rl"]].tobytes():
                 audit_ok = False
-            if row[i_u] != row[i_url]:
+            if row[c["u"]].tobytes() != row[c["u_rl"]].tobytes():
                 augmented_rows += 1
     audit_ok = audit_ok and augmented_rows > 0
 

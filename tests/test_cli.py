@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import yaml
 
 import l1aug
 from l1aug.cli import CompareConfig, RunConfig, VerifyConfig, _from_dict, load_config, resolve_config
-from l1aug.envsim import ConfigError
+from l1aug.envsim import ConfigError, DisturbanceSpec
 from l1aug.mbrl import EPISODE_COLUMNS, trace_columns
 
 
@@ -94,6 +95,18 @@ def test_cli_run_invalid_config_exits_1(tmp_path):
     ("run", {"loop": {"l1_train": "false"}}),
     ("compare", {"sim_to_real": "false"}),
     ("compare", {"loop": {"l1_test": 0}}),
+    ("run", {"mpc": {"n_candidates": 16.0}}),
+    ("run", {"loop": {"eval_episodes": 1.5}}),
+    ("run", {"model": {"max_epochs": 8.0}}),
+    ("run", {"mpc": {"horizon": True}}),
+    ("run", {"seeds": [0, 1.5]}),
+    ("run", {"seeds": [True]}),
+    ("run", {"seeds": 3}),
+    ("compare", {"report_window": 2.5}),
+    ("compare", {"scenarios": []}),
+    ("compare", {"scenarios": {"kind": "none"}}),
+    ("compare", {"scenarios": [{"kind": "none"}, {"kind": "bogus"}]}),
+    ("verify", {"assumption_samples": 100.0}),
 ])
 def test_cli_invalid_value_is_config_error(tmp_path, command, data):
     path = write_yaml(tmp_path / "bad.yaml", dict(data, out=str(tmp_path / "out")))
@@ -102,6 +115,17 @@ def test_cli_invalid_value_is_config_error(tmp_path, command, data):
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_compare_scenarios_load_as_disturbance_specs(tmp_path):
+    path = write_yaml(tmp_path / "c.yaml", {"scenarios": [{"kind": "none"}, {"kind": "action_noise", "sigma_a": 0.1}]})
+    cfg = load_config(CompareConfig, path)
+    assert cfg.scenarios == [DisturbanceSpec(), DisturbanceSpec(kind="action_noise", sigma_a=0.1)]
+    assert _from_dict(CompareConfig, dataclasses.asdict(cfg)) == cfg
+    assert CompareConfig().scenarios == [DisturbanceSpec()]
+    bad = write_yaml(tmp_path / "bad.yaml", {"scenarios": [{"kind": "none"}, {"kind": "none", "sigma": 1}]})
+    with pytest.raises(ConfigError, match=r"bad\.yaml\.scenarios\[1\]: unknown keys"):
+        load_config(CompareConfig, bad)
 
 
 RUN_KEYS = {

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from l1aug.mbrl import (
     episode_rng,
     mpc_action,
     run_episode,
+    step_columns,
     trace_columns,
     train_loop,
 )
@@ -143,25 +146,26 @@ def test_run_episode_logs_baseline_input(di_setup):
     result = run_episode(env, DisturbanceSpec(), model, mpc, l1cfg, use_l1=True,
                          rng=episode_rng(0, 0, 0, "collect"))
     assert result.steps > 0
-    for trans, row in zip(result.transitions, result.rows):
-        assert np.array_equal(trans.u_logged, row["u_rl"])
-        expected_applied = env.clamp_input(row["u_rl"] + row["u_a"])
-        assert np.allclose(trans.u_applied, expected_applied, atol=1e-12)
+    c = step_columns(env.n, env.m)
+    for row in result.rows:
+        expected_applied = env.clamp_input(row[c["u_rl"]] + row[c["u_a"]])
+        assert np.allclose(row[c["u"]], expected_applied, atol=1e-12)
 
 
 def test_run_episode_without_l1_applies_baseline(di_setup):
     env, model, mpc, l1cfg = di_setup
     result = run_episode(env, DisturbanceSpec(), model, mpc, l1cfg, use_l1=False,
                          rng=episode_rng(0, 0, 0, "collect"))
-    for trans in result.transitions:
-        assert np.array_equal(trans.u_applied, env.clamp_input(trans.u_logged))
+    c = step_columns(env.n, env.m)
+    for row in result.rows:
+        assert np.array_equal(row[c["u"]], env.clamp_input(row[c["u_rl"]]))
 
 
 def test_run_episode_return_is_sum_of_rewards(di_setup):
     env, model, mpc, l1cfg = di_setup
     result = run_episode(env, DisturbanceSpec(), model, mpc, l1cfg, use_l1=False,
                          rng=episode_rng(1, 0, 0, "collect"))
-    assert result.episode_return == pytest.approx(sum(t.reward for t in result.transitions))
+    assert result.episode_return == pytest.approx(sum(result.rows[:, step_columns(env.n, env.m)["reward"]]))
 
 
 def test_run_episode_terminates_on_leaving_state_box():
@@ -180,7 +184,7 @@ def test_run_episode_terminates_on_leaving_state_box():
                          rng=episode_rng(0, 0, 0, "collect"))
     assert result.terminated_early
     assert result.steps < 50
-    assert result.episode_return == pytest.approx(sum(t.reward for t in result.transitions))
+    assert result.episode_return == pytest.approx(sum(result.rows[:, step_columns(env.n, env.m)["reward"]]))
 
 
 def test_transparency_pairing_exact_model():
@@ -206,10 +210,11 @@ def test_transparency_pairing_exact_model():
     off = run_episode(env, DisturbanceSpec(), ExactDI(), mpc, l1cfg, False, episode_rng(3, 0, 0, "eval"))
     on = run_episode(env, DisturbanceSpec(), ExactDI(), mpc, l1cfg, True, episode_rng(3, 0, 0, "eval"))
     assert on.steps == off.steps
-    for a, b in zip(on.transitions, off.transitions):
-        assert np.allclose(a.u_applied, b.u_applied, atol=1e-9)
-        assert np.allclose(a.x_next, b.x_next, atol=1e-9)
-    max_ua = max(abs(float(r["u_a"][0])) for r in on.rows)
+    c = step_columns(env.n, env.m)
+    for a, b, a_next, b_next in zip(on.rows, off.rows, on.x_next, off.x_next):
+        assert np.allclose(a[c["u"]], b[c["u"]], atol=1e-9)
+        assert np.allclose(a_next, b_next, atol=1e-9)
+    max_ua = max(abs(float(r[c["u_a"]][0])) for r in on.rows)
     assert max_ua <= 1e-9
 
 
@@ -223,12 +228,13 @@ def test_anchor_validity_invariant(pendulum_ensemble):
                          model, mpc, l1cfg, True, episode_rng(0, 0, 0, "eval"))
     assert result.switch_events
     switch_steps = {e.t for e in result.switch_events}
+    c = step_columns(env.n, env.m)
     for row in result.rows:
-        if row["switch"]:
-            assert row["t"] in switch_steps
-            assert row["switch_residual"] >= l1cfg.eps_a
-        elif row["switch_residual"] is not None and row["t"] > 0:
-            assert row["switch_residual"] < l1cfg.eps_a
+        if row[c["switch"]]:
+            assert row[c["t"]] in switch_steps
+            assert row[c["switch_residual"]] >= l1cfg.eps_a
+        elif not np.isnan(row[c["switch_residual"]]) and row[c["t"]] > 0:
+            assert row[c["switch_residual"]] < l1cfg.eps_a
 
 
 def test_replay_counts_the_switches_of_run_episode(pendulum_ensemble):
@@ -239,8 +245,8 @@ def test_replay_counts_the_switches_of_run_episode(pendulum_ensemble):
     result = run_episode(env, DisturbanceSpec(kind="constant_matched", amplitude=0.3),
                          model, mpc, l1cfg, True, episode_rng(0, 0, 0, "eval"))
     assert len(result.switch_events) >= 10
-    xs = [row["x"] for row in result.rows]
-    us = [row["u_rl"] for row in result.rows]
+    c = step_columns(env.n, env.m)
+    xs, us = result.rows[:, c["x"]], result.rows[:, c["u_rl"]]
     assert replay_switch_count(model, xs, us, l1cfg.eps_a) == len(result.switch_events)
 
 
@@ -307,8 +313,9 @@ def test_ablation_collection_isolated_from_test_flag():
     # across l1_test settings (independently seeded phases).
     rec_a = _tiny_loop_record(False, False)
     rec_b = _tiny_loop_record(False, True)
-    collect_a = [row for row in rec_a.trace if row[0] == "collect"]
-    collect_b = [row for row in rec_b.trace if row[0] == "collect"]
+    collect_a = [(*key, rows.tobytes()) for *key, rows in rec_a.trace if key[0] == "collect"]
+    collect_b = [(*key, rows.tobytes()) for *key, rows in rec_b.trace if key[0] == "collect"]
+    assert collect_a
     assert collect_a == collect_b
 
 
@@ -334,10 +341,65 @@ def test_trace_schema_columns():
     assert EPISODE_COLUMNS[0] == "phase"
 
 
-def test_record_row_width_matches_schema(di_setup):
+def test_record_row_width_matches_schema(di_setup, tmp_path):
     env, model, mpc, l1cfg = di_setup
     record = RunRecord(n=env.n, m=env.m)
     result = run_episode(env, DisturbanceSpec(), model, mpc, l1cfg, True, episode_rng(0, 0, 0, "eval"))
     record.add_episode("eval", 0, 0, 0, result)
     width = len(trace_columns(env.n, env.m))
-    assert all(len(row) == width for row in record.trace)
+    assert result.rows.shape == (result.steps, width - 4)
+    record.write_trace_csv(tmp_path / "trace.csv")
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert len(lines) == 1 + result.steps
+    assert all(len(line) == width for line in lines)
+
+
+def test_trace_csv_cells_equal_the_row_arrays(di_setup, tmp_path):
+    # An L1-on and an L1-off episode: every written cell reads back as its
+    # array value bit for bit, and a cell is empty exactly where the array is NaN.
+    env, model, mpc, l1cfg = di_setup
+    record = RunRecord(n=env.n, m=env.m)
+    results = []
+    for ep, use_l1 in enumerate((True, False)):
+        result = run_episode(env, DisturbanceSpec(), model, mpc, l1cfg, use_l1, episode_rng(2, 1, ep, "eval"))
+        record.add_episode("eval", 1, ep, 2, result)
+        results.append(result)
+    record.write_trace_csv(tmp_path / "trace.csv")
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        header, *lines = list(csv.reader(fh))
+    assert header == trace_columns(env.n, env.m)
+    rows = np.concatenate([r.rows for r in results])
+    assert len(lines) == len(rows) == sum(r.steps for r in results)
+    n_on = results[0].steps
+    c = step_columns(env.n, env.m)
+    absent_without_l1 = np.zeros(rows.shape[1], dtype=bool)
+    for name in ("xhat", "xtilde", "sigma", "sigma_m", "sigma_um", "u_a", "switch_residual", "anchor_norm"):
+        absent_without_l1[c[name]] = True
+    assert not np.isnan(rows[:n_on]).any()
+    assert (np.isnan(rows[n_on:]) == absent_without_l1).all()
+    for i, (line, row) in enumerate(zip(lines, rows)):
+        assert line[:4] == ["eval", "1", str(int(i >= n_on)), "2"]
+        for name, cell, value in zip(header[4:], line[4:], row):
+            if np.isnan(value):
+                assert cell == ""
+            elif name in ("t", "switch"):
+                assert cell == str(int(value)) and float(cell) == value
+            else:
+                assert cell != ""
+                assert np.float64(float(cell)).tobytes() == value.tobytes()
+        assert int(line[4 + c["t"]]) == (i if i < n_on else i - n_on)
+
+
+def test_train_loop_stores_the_baseline_input():
+    # The dataset rows are the collect rows' (x, u_rl) and the observed next
+    # states, bit for bit, and collection was augmented.
+    record = _tiny_loop_record(True, True)
+    c = step_columns(record.n, record.m)
+    collect = np.concatenate([rows for phase, *_, rows in record.trace if phase == "collect"])
+    xs, us, x_next = record.dataset.as_arrays()
+    assert xs.tobytes() == collect[:, c["x"]].tobytes()
+    assert us.tobytes() == collect[:, c["u_rl"]].tobytes()
+    assert collect[:, c["u"]].tobytes() != collect[:, c["u_rl"]].tobytes()
+    starts = collect[:, c["t"]] == 0
+    assert x_next[:-1][~starts[1:]].tobytes() == xs[1:][~starts[1:]].tobytes()

@@ -30,6 +30,7 @@ def affine_noiseless_spec():
     zero2 = lambda *_: np.zeros(2)
     return SyntheticSpec(
         n=2, m=1, drift=drift, disturbance=lambda t, x, u: np.zeros(2), model_error=lambda x, u: np.zeros(2),
+        jacobian_u=lambda x, u: np.array([[0.0], [1.0]]),
         eps_l=1e-9, eps_a=0.05,
         x0=np.array([0.4, -0.2]), u_star=lambda t: np.array([math.sin(t)]),
         state_low=np.array([-3.0, -3.0]), state_high=np.array([3.0, 3.0]),
@@ -98,6 +99,7 @@ def test_assumption_bound_sine_error_approaches_eps_l():
     spec = SyntheticSpec(
         n=2, m=1, drift=drift, disturbance=lambda t, x, u: np.zeros(2),
         model_error=lambda x, u: np.array([eps_l * math.sin(x[0]), 0.0]),
+        jacobian_u=lambda x, u: np.array([[1.0], [0.0]]),
         eps_l=eps_l, eps_a=0.1,
         x0=np.zeros(2), u_star=lambda t: np.zeros(1),
         state_low=np.array([-4.0, -4.0]), state_high=np.array([4.0, 4.0]),
@@ -113,7 +115,7 @@ def test_assumption_bound_negative_control():
     spec = scalar_constant_spec(d=0.5)
     bad = SyntheticSpec(
         n=spec.n, m=spec.m, drift=spec.drift, disturbance=spec.disturbance,
-        model_error=spec.model_error, eps_l=0.4, eps_a=spec.eps_a,
+        model_error=spec.model_error, jacobian_u=spec.jacobian_u, eps_l=0.4, eps_a=spec.eps_a,
         x0=spec.x0, u_star=spec.u_star,
         state_low=spec.state_low, state_high=spec.state_high,
         input_low=spec.input_low, input_high=spec.input_high,
@@ -144,6 +146,22 @@ def test_make_synthetic_spec_presets():
         make_synthetic_spec("cubic")
 
 
+@pytest.mark.parametrize("spec", [default_synthetic_spec(), scalar_constant_spec()], ids=["default", "scalar_constant"])
+def test_preset_jacobian_matches_central_differences(spec):
+    rng = np.random.default_rng(3)
+    h = 1e-6
+    for _ in range(50):
+        x = rng.uniform(spec.state_low, spec.state_high)
+        u = rng.uniform(spec.input_low, spec.input_high)
+        jac = spec.jacobian_u(x, u)
+        assert jac.shape == (spec.n, spec.m)
+        for j in range(spec.m):
+            e = np.zeros(spec.m)
+            e[j] = h
+            fd = (spec.predict_mean(x, u + e) - spec.predict_mean(x, u - e)) / (2 * h)
+            assert np.allclose(jac[:, j], fd, rtol=0, atol=1e-8)
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         scalar_constant_spec(d=0.5, eps_a=-1.0)
@@ -151,7 +169,7 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         SyntheticSpec(
             n=1, m=1, drift=spec.drift, disturbance=spec.disturbance,
-            model_error=spec.model_error, eps_l=0.5, eps_a=0.1,
+            model_error=spec.model_error, jacobian_u=spec.jacobian_u, eps_l=0.5, eps_a=0.1,
             x0=spec.x0, u_star=spec.u_star,
             state_low=spec.state_low, state_high=spec.state_high,
             input_low=spec.input_low, input_high=spec.input_high,
