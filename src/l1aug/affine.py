@@ -12,7 +12,7 @@ verification harness both satisfy that protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,7 @@ class SwitchEvent:
 class SwitchDecision:
     switch: bool
     residual: float
+    parts: tuple[Array, Array] = field(repr=False, compare=False)  # the checked am.parts(x), reused if am is kept
 
 
 @dataclass(frozen=True)
@@ -52,16 +53,16 @@ class AffineModel:
         jac = self.model.jacobian_u(x, self.ubar)
         return f_anchor, jac
 
-    def predict(self, x: Array, u: Array) -> Array:
-        """g(x) + h(x) u, exact at u = ubar."""
-        f_anchor, jac = self.parts(x)
+    def predict(self, x: Array, u: Array, parts: tuple[Array, Array] | None = None) -> Array:
+        """g(x) + h(x) u, exact at u = ubar; ``parts`` is ``self.parts(x)`` when already evaluated."""
+        f_anchor, jac = self.parts(x) if parts is None else parts
         return f_anchor + jac @ (np.asarray(u, dtype=float) - self.ubar)
 
 
 def affinize(model: object, ubar: Array) -> AffineModel:
     """Expand ``model`` around the anchor input ``ubar``."""
     ubar = np.asarray(ubar, dtype=float)
-    if not np.all(np.isfinite(ubar)):
+    if not np.isfinite(ubar).all():
         raise ValueError("affinize: anchor input must be finite")
     return AffineModel(model=model, ubar=ubar.copy())
 
@@ -74,8 +75,9 @@ def switching_check(am: AffineModel, x: Array, u: Array, eps_a: float) -> Switch
     """
     if eps_a <= 0:
         raise ValueError("switching_check: eps_a must be positive")
-    residual = float(np.linalg.norm(am.predict(x, u) - am.model.predict_mean(x, u)))
-    return SwitchDecision(switch=residual >= eps_a, residual=residual)
+    parts = am.parts(x)
+    residual = float(np.linalg.norm(am.predict(x, u, parts) - am.model.predict_mean(x, u)))
+    return SwitchDecision(switch=residual >= eps_a, residual=residual, parts=parts)
 
 
 def reanchor(
@@ -91,6 +93,11 @@ def reanchor(
         return affinize(model, u), None
     decision = switching_check(am, x, u, eps_a)
     return (affinize(model, u) if decision.switch else am), decision
+
+
+def kept_parts(decision: SwitchDecision | None) -> tuple[Array, Array] | None:
+    """The checked model's ``parts(x)`` when ``reanchor`` kept that model, else None (a new anchor)."""
+    return None if decision is None or decision.switch else decision.parts
 
 
 def replay_switch_count(model: object, xs: Array, us: Array, eps_a: float) -> int:

@@ -71,7 +71,7 @@ class ModelSection:
     """Ensemble shape plus the TrainOptions fields a config may set (not the seed)."""
 
     members: int = 3
-    hidden: list = field(default_factory=lambda: [64, 64])
+    hidden: list[int] = field(default_factory=lambda: [64, 64])
     lr: float = 1e-3
     batch_size: int = 64
     max_epochs: int = 150

@@ -58,8 +58,8 @@ class EnvSpec:
             raise ConfigError(f"env {self.name}: need n >= 1 and m >= 1")
         if self.dt <= 0:
             raise ConfigError(f"env {self.name}: dt must be positive")
-        if self.horizon < 1:
-            raise ConfigError(f"env {self.name}: horizon must be >= 1")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int) or self.horizon < 1:
+            raise ConfigError(f"env {self.name}: horizon must be an integer >= 1, got {self.horizon!r}")
         for arr, dim, label in (
             (self.state_low, self.n, "state_low"),
             (self.state_high, self.n, "state_high"),
@@ -77,7 +77,7 @@ class EnvSpec:
         return np.clip(u, self.input_low, self.input_high)
 
     def in_state_bounds(self, x: Array) -> bool:
-        return bool(np.all(x >= self.state_low) and np.all(x <= self.state_high))
+        return bool((x >= self.state_low).all() and (x <= self.state_high).all())
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def step_true(
     u = np.asarray(u, dtype=float)
     if x.shape != (env.n,) or u.shape != (env.m,):
         raise ValueError(f"step_true: expected shapes ({env.n},) and ({env.m},), got {x.shape} and {u.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+    if not (np.isfinite(x).all() and np.isfinite(u).all()):
         raise ValueError("step_true: non-finite state or input")
 
     u_cmd = env.clamp_input(u)
@@ -186,7 +186,7 @@ def step_true(
         u_exec = env.clamp_input(u_cmd + rng.uniform(-dist.sigma_a, dist.sigma_a, size=env.m))
 
     x_next_true = integrate(env, dist, x, u_exec, t0=t * env.dt)
-    if not np.all(np.isfinite(x_next_true)):
+    if not np.isfinite(x_next_true).all():
         raise EpisodeDiverged(f"env {env.name}: non-finite state after step {t}")
 
     x_next = x_next_true

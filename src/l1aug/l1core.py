@@ -164,18 +164,19 @@ def l1_input(u_rl: Array, xtilde: Array, h: Array, q: Array, cfg: L1Config) -> t
     return u_rl + u_a, sigma_rate, sigma_m, sigma_um, q_next
 
 
-def l1_control(u_rl: Array, x: Array, am: AffineModel, l1: L1State, cfg: L1Config) -> tuple[Array, L1State]:
+def l1_control(u_rl: Array, x: Array, am: AffineModel, l1: L1State, cfg: L1Config,
+               parts=None) -> tuple[Array, L1State]:
     """Full per-step controller update, in order.
 
     Prediction-error update, the adaptive law at the current state, then the
     Euler predictor advance xhat + dx_affine(x, u) + (sigma_rate + As xtilde)
-    ts using the augmented input. Returns the input to execute and the next
-    state.
+    ts using the augmented input; ``parts`` is ``am.parts(x)`` if already
+    evaluated. Returns the input to execute and the next state.
     """
     x = np.asarray(x, dtype=float)
     u_rl = np.asarray(u_rl, dtype=float)
     xtilde = l1.xhat - x
-    f_anchor, h = am.parts(x)
+    f_anchor, h = am.parts(x) if parts is None else parts
     u, sigma_rate, sigma_m, sigma_um, q_next = l1_input(u_rl, xtilde, h, l1.q, cfg)
     xhat_next = l1.xhat + (f_anchor + h @ (u - am.ubar)) + (sigma_rate + cfg.as_diag * xtilde) * cfg.ts
     return u, L1State(

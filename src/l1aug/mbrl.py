@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .affine import AffineModel, SwitchEvent, reanchor
+from .affine import AffineModel, SwitchEvent, kept_parts, reanchor
 from .dynmodel import Ensemble, TrainOptions, TransitionDataset, make_ensemble, train
 from .envsim import DisturbanceSpec, EnvSpec, EpisodeDiverged, step_true
 from .l1core import L1Config, L1State, l1_control
@@ -81,7 +81,7 @@ def mpc_action(model: Ensemble, env: EnvSpec, x: Array, mpc: MpcConfig, rng: np.
     x = np.asarray(x, dtype=float)
     if x.shape != (env.n,):
         raise ValueError(f"expected state shape ({env.n},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite model input")
     cands = rng.uniform(env.input_low, env.input_high, size=(mpc.n_candidates, mpc.horizon, env.m))
     if hasattr(model, "planning_map"):
@@ -97,7 +97,7 @@ def mpc_action(model: Ensemble, env: EnvSpec, x: Array, mpc: MpcConfig, rng: np.
         xu[:, :env.n] = states
         xu[:, env.n:] = u
         states = states + plan(xu)
-        in_bounds = np.all((states >= env.state_low) & (states <= env.state_high), axis=1)
+        in_bounds = ((states >= env.state_low) & (states <= env.state_high)).all(axis=1)
         alive &= in_bounds
         total += np.where(alive, env.reward(states, u), 0.0)
     best = int(np.argmax(total))
@@ -195,7 +195,7 @@ def run_episode(
             if decision is not None and decision.switch:
                 events.append(SwitchEvent(t=t, old_anchor=previous.ubar, new_anchor=am.ubar, residual=decision.residual))
                 row[c["switch"]] = 1
-            u_cmd, l1 = l1_control(u_rl, x_obs, am, l1, l1cfg)
+            u_cmd, l1 = l1_control(u_rl, x_obs, am, l1, l1cfg, kept_parts(decision))
             row[c["anchor_norm"]] = np.linalg.norm(am.ubar)
         else:
             u_cmd = u_rl

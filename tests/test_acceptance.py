@@ -219,6 +219,7 @@ def pendulum_rejection(pendulum_ensemble):
     }
 
 
+@pytest.mark.slow
 def test_criterion_8_disturbance_rejection(pendulum_rejection):
     cost_off = pendulum_rejection["cost_off"]
     cost_on = pendulum_rejection["cost_on"]
@@ -255,6 +256,7 @@ def cartpole_loop():
     return out
 
 
+@pytest.mark.slow
 def test_criterion_9_end_to_end_loop(cartpole_loop):
     mean_on = float(np.mean(cartpole_loop["on"]))
     mean_off = float(np.mean(cartpole_loop["off"]))
@@ -282,6 +284,7 @@ def test_criterion_9_end_to_end_loop(cartpole_loop):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_10_switch_rate(pendulum_rejection, cartpole_loop, linear_ensemble):
     rates = {"pendulum": pendulum_rejection["switch_rate"]}
 

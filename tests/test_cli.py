@@ -107,6 +107,8 @@ def test_cli_run_invalid_config_exits_1(tmp_path):
     ("compare", {"scenarios": {"kind": "none"}}),
     ("compare", {"scenarios": [{"kind": "none"}, {"kind": "bogus"}]}),
     ("verify", {"assumption_samples": 100.0}),
+    ("run", {"env": {"overrides": {"horizon": 40.0}}}),
+    ("run", {"model": {"hidden": [True, 16]}}),
 ])
 def test_cli_invalid_value_is_config_error(tmp_path, command, data):
     path = write_yaml(tmp_path / "bad.yaml", dict(data, out=str(tmp_path / "out")))
@@ -115,6 +117,13 @@ def test_cli_invalid_value_is_config_error(tmp_path, command, data):
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("hidden", [[True, 16], [16, 8.0], [16, False]])
+def test_hidden_widths_must_be_integers(hidden):
+    with pytest.raises(ConfigError, match=r"config\.model\.hidden\[\d\]: expected an integer"):
+        _from_dict(RunConfig, {"model": {"hidden": hidden}})
+    assert _from_dict(RunConfig, {"model": {"hidden": [16, 8]}}).model.hidden == [16, 8]
 
 
 def test_compare_scenarios_load_as_disturbance_specs(tmp_path):

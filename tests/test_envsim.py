@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1aug.envsim import ConfigError, DisturbanceSpec, make_env, step_true
+from l1aug.envsim import ConfigError, DisturbanceSpec, make_env, rk4_step, step_true
 
 
 @pytest.fixture
@@ -64,6 +64,27 @@ def test_rk4_exact_for_polynomial_flow(rng):
     dt = env.dt
     expected = np.array([x[0] + x[1] * dt + 0.5 * u[0] * dt**2, x[1] + u[0] * dt])
     assert np.allclose(tr.x_next, expected, atol=1e-12)
+
+
+def test_rk4_step_evaluates_f_at_t_x_first():
+    # The bound harness records e(t) from this first stage.
+    calls = []
+
+    def f(t, x):
+        calls.append((t, x.copy()))
+        return -x
+
+    x = np.array([0.3, -0.2])
+    rk4_step(f, 0.7, x, 0.1)
+    assert len(calls) == 4
+    assert calls[0][0] == 0.7
+    assert np.array_equal(calls[0][1], x)
+
+
+@pytest.mark.parametrize("horizon", [40.0, True, "40"])
+def test_non_integer_horizon_rejected(horizon):
+    with pytest.raises(ConfigError, match="horizon must be an integer"):
+        make_env("double_integrator", {"horizon": horizon})
 
 
 def test_deterministic_without_noise():

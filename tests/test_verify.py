@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from l1aug.envsim import ConfigError
-from l1aug.l1core import L1Config
+from l1aug.affine import reanchor
+from l1aug.envsim import ConfigError, rk4_step
+from l1aug.l1core import L1Config, l1_input
 from l1aug.verify import (
     SyntheticSpec,
     check_assumption_bound,
@@ -37,6 +38,71 @@ def affine_noiseless_spec():
         input_low=np.array([-2.0]), input_high=np.array([2.0]),
         t_max=2.0, ts_grid=(0.02,),
     )
+
+
+def reference_bound_experiment(spec, cfg):
+    """The bound loop with a separate record after each RK4 substep: every point evaluated afresh."""
+    ts = cfg.ts
+    n_int = int(round(spec.t_max / ts))
+    x, xtilde, q, am = spec.x0.astype(float).copy(), np.zeros(spec.n), np.zeros(spec.m), None
+    times, e_norms, sigmas, switch_count = [], [], np.zeros((n_int, spec.n)), 0
+    for i in range(n_int):
+        t0 = i * ts
+        u_rl = np.asarray(spec.u_star(t0), dtype=float)
+        am, decision = reanchor(am, spec, x, u_rl, spec.eps_a)
+        switch_count += int(decision is not None and decision.switch)
+        _, jac = am.parts(x)
+        u, sigma_rate, _, _, q = l1_input(u_rl, xtilde, jac * ts, q, cfg)
+        sigmas[i] = sigma_rate
+        u = np.clip(u, spec.input_low, spec.input_high)
+
+        def joint_field(t, z, anchor=am, u=u, sigma_rate=sigma_rate):
+            xt, et = z[: spec.n], z[spec.n :]
+            rate_true = spec.drift(xt, u) + spec.disturbance(t, xt, u)
+            d = rate_true - anchor.predict(xt, u)
+            return np.concatenate([rate_true, cfg.as_diag * et + sigma_rate - d])
+
+        def record(t, xt, anchor=am, u=u, sigma_rate=sigma_rate):
+            d = spec.drift(xt, u) + spec.disturbance(t, xt, u) - anchor.predict(xt, u)
+            times.append(t)
+            e_norms.append(float(np.linalg.norm(d - sigma_rate)))
+
+        z = np.concatenate([x, xtilde])
+        h = ts / spec.substeps
+        record(t0, x)
+        for k in range(spec.substeps):
+            z = rk4_step(joint_field, t0 + k * h, z, h)
+            if k < spec.substeps - 1:
+                record(t0 + (k + 1) * h, z[: spec.n])
+        x, xtilde = z[: spec.n], z[spec.n :]
+    return np.asarray(times), np.asarray(e_norms), sigmas, switch_count
+
+
+@pytest.mark.parametrize("spec,ts", [(default_synthetic_spec(t_max=2.0), 0.01), (scalar_constant_spec(), 0.1)],
+                         ids=["default", "scalar_constant"])
+def test_bound_experiment_matches_separate_record_loop(spec, ts):
+    trace = run_bound_experiment(spec, cfg_for(spec, ts))
+    times, e_norms, sigmas, switch_count = reference_bound_experiment(spec, cfg_for(spec, ts))
+    assert np.array_equal(trace.times, times)
+    assert np.array_equal(trace.e_norms, e_norms)
+    assert np.array_equal(trace.sigma_per_interval, sigmas)
+    assert trace.switch_count == switch_count
+    if spec.n == 2:
+        assert switch_count > 0  # the shared parts evaluation is exercised across re-anchorings
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_assumption_bound_matches_per_sample_draws(seed):
+    spec = default_synthetic_spec()
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(3000):
+        t = rng.uniform(0.0, spec.t_max)
+        x = rng.uniform(spec.state_low, spec.state_high)
+        u = rng.uniform(spec.input_low, spec.input_high)
+        worst = max(worst, float(np.linalg.norm(spec.residual_error(t, x, u))))
+    report = check_assumption_bound(spec, 3000, np.random.default_rng(seed))
+    assert report["sup_estimate"] == worst
 
 
 def test_zero_uncertainty_error_is_machine_scale():
