@@ -12,6 +12,7 @@ so a run is reproducible from its own outputs. Exit codes: 0 success,
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -269,16 +270,13 @@ def _emit_run_outputs(directory: Path, cfg: RunConfig, records: list[tuple[int, 
         merged.iteration_losses.extend(dict(row, seed=seed) for row in record.iteration_losses)
         for iteration in sorted(record.eval_returns):
             returns = record.eval_returns[iteration]
-            curve_rows.append([
-                str(iteration), str(seed),
-                repr(float(np.mean(returns))), repr(float(np.std(returns))),
-            ])
+            curve_rows.append([iteration, seed, float(np.mean(returns)), float(np.std(returns))])
     merged.write_trace_csv(directory / "trace.csv")
     merged.write_episodes_csv(directory / "episodes.csv")
     with open(directory / "learning_curve.csv", "w", newline="") as fh:
-        fh.write("iteration,seed,mean_return,std_return\n")
-        for row in curve_rows:
-            fh.write(",".join(row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["iteration", "seed", "mean_return", "std_return"])
+        writer.writerows(curve_rows)
     _write_meta(directory, cfg, {"losses": merged.iteration_losses})
 
 
@@ -467,7 +465,7 @@ def cmd_compare(config_path, seed_override, out_override, jobs):
                 bits.append(f"{key}={getattr(s, key):g}")
         return "_".join(bits)
 
-    lines = ["scenario,arm,mean_return,std_return,n_seeds,l1_wins,l1_losses,sign_p"]
+    rows = [["scenario", "arm", "mean_return", "std_return", "n_seeds", "l1_wins", "l1_losses", "sign_p"]]
     for si, scenario in enumerate(cfg.scenarios):
         base = [results[(si, seed, False)] for seed in cfg.seeds]
         aug = [results[(si, seed, True)] for seed in cfg.seeds]
@@ -476,11 +474,9 @@ def cmd_compare(config_path, seed_override, out_override, jobs):
         p = _sign_test_p(wins, losses)
         label = scenario_label(scenario)
         for arm, vals in (("baseline", base), ("l1", aug)):
-            lines.append(
-                f"{label},{arm},{float(np.mean(vals))!r},{float(np.std(vals))!r},{len(vals)},{wins},{losses},{p!r}"
-            )
-    with open(directory / "comparison.csv", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+            rows.append([label, arm, float(np.mean(vals)), float(np.std(vals)), len(vals), wins, losses, p])
+    with open(directory / "comparison.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     _write_meta(directory, cfg)
     click.echo(f"wrote {directory / 'comparison.csv'}")
     sys.exit(EXIT_OK)

@@ -245,6 +245,10 @@ class TrainOptions:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience", "min_rows"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"TrainOptions: {name} must be an integer, got {value!r}")
         if not self.lr > 0 or self.batch_size < 1 or self.max_epochs < 0 or self.patience < 0:
             raise ValueError("TrainOptions: need lr > 0, batch_size >= 1, max_epochs >= 0 and patience >= 0")
         if not 0.0 <= self.val_fraction < 1.0:
@@ -260,23 +264,50 @@ class TrainReport:
 
 
 class _Adam:
-    def __init__(self, params: list[Array], lr: float):
+    """Adam over one (members, P) parameter buffer, stepped in place.
+
+    Every step runs the same elementwise ufuncs in the same order over the
+    whole buffer, through two scratch buffers, so it allocates nothing.
+    """
+
+    def __init__(self, flat: Array, lr: float):
         self.lr = lr
         self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m, self.v, self._a, self._b = (np.zeros_like(flat) for _ in range(4))
 
-    def step(self, params: list[Array], grads: list[Array]) -> None:
+    def step(self, flat: Array, grad: Array) -> None:
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        a, b = self._a, self._b
+        self.m *= self.b1
+        self.m += np.multiply(grad, 1.0 - self.b1, out=a)
+        self.v *= self.b2
+        np.multiply(grad, 1.0 - self.b2, out=a)
+        self.v += np.multiply(a, grad, out=a)
+        # flat -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(self.m, c1, out=a)
+        a *= self.lr
+        np.sqrt(np.divide(self.v, c2, out=b), out=b)
+        b += self.eps
+        a /= b
+        flat -= a
+
+
+def _layer_views(flat: Array, weights: list[Array]) -> tuple[list[Array], list[Array]]:
+    """(members, out, in) weight and (members, out) bias views of a (members, P) buffer.
+
+    Each member's row holds layer 0's weights, then its biases, then layer 1's,
+    and so on; ``weights`` supplies the layer shapes.
+    """
+    ws, bs, start = [], [], 0
+    for w in weights:
+        _, n_out, n_in = w.shape
+        ws.append(flat[:, start : start + n_out * n_in].reshape(-1, n_out, n_in))
+        bs.append(flat[:, start + n_out * n_in : start + n_out * (n_in + 1)])
+        start += n_out * (n_in + 1)
+    return ws, bs
 
 
 def _mse(weights: list[Array], biases: list[Array], z: Array, y: Array) -> Array:
@@ -285,15 +316,15 @@ def _mse(weights: list[Array], biases: list[Array], z: Array, y: Array) -> Array
     return np.mean((out - y) ** 2, axis=(1, 2))
 
 
-def _grads(weights: list[Array], z: Array, delta: Array, acts: list[Array]) -> list[Array]:
-    """Stacked gradients of sum(delta * output): every layer's weights, then its biases."""
+def _grads(weights: list[Array], z: Array, delta: Array, acts: list[Array],
+           g_w: list[Array], g_b: list[Array]) -> None:
+    """Stacked gradients of sum(delta * output), written into every layer's ``g_w`` and ``g_b``."""
     ins = [z, *acts]
-    g_w, g_b = [None] * len(weights), [None] * len(weights)
     for i in range(len(weights) - 1, -1, -1):
-        g_w[i], g_b[i] = delta.swapaxes(1, 2) @ ins[i], delta.sum(axis=1)
+        np.matmul(delta.swapaxes(1, 2), ins[i], out=g_w[i])
+        delta.sum(axis=1, out=g_b[i])
         if i > 0:
             delta = (delta @ weights[i]) * (1.0 - ins[i] ** 2)
-    return g_w + g_b
 
 
 def train(ensemble: Ensemble, data: TransitionDataset, opts: TrainOptions) -> tuple[Ensemble, TrainReport]:
@@ -302,7 +333,10 @@ def train(ensemble: Ensemble, data: TransitionDataset, opts: TrainOptions) -> tu
     The normalizer is refit on the training split only. Members step in
     lockstep, each on its own shuffle stream, until the last one stops; a
     stopped member's losses are no longer read, and each member's
-    best-validation weights are restored. Returns a new Ensemble bound to the
+    best-validation weights are restored. The layer arrays train as views of
+    one (members, P) buffer, which Adam and the best-weight snapshot treat
+    whole, and each epoch gathers every member's shuffled rows once. Returns a
+    new Ensemble, with contiguous copies of the best weights, bound to the
     refit normalizer plus per-member losses.
     """
     if len(data) == 0:
@@ -326,25 +360,28 @@ def train(ensemble: Ensemble, data: TransitionDataset, opts: TrainOptions) -> tu
     z_val = normalizer.norm_in(inputs[val_idx])
     y_val = normalizer.norm_out(targets[val_idx])
 
-    n_layers = len(ensemble.weights)
-    params = [p.copy() for p in ensemble.weights + ensemble.biases]
-    weights, biases = params[:n_layers], params[n_layers:]
-    adam = _Adam(params, opts.lr)
+    flat = np.concatenate([a.reshape(len(a), -1) for pair in zip(ensemble.weights, ensemble.biases)
+                           for a in pair], axis=1)
+    weights, biases = _layer_views(flat, ensemble.weights)
+    grad = np.empty_like(flat)
+    g_w, g_b = _layer_views(grad, ensemble.weights)
+    adam = _Adam(flat, opts.lr)
     initial_val = _mse(weights, biases, z_val, y_val)
     member_rngs = [np.random.default_rng([opts.seed, 0x6D62, k]) for k in range(len(initial_val))]
-    best_val, best = initial_val.copy(), [p.copy() for p in params]
+    best_val, best = initial_val.copy(), flat.copy()
     best_epoch, epochs_run = np.zeros((2, len(initial_val)), dtype=int)
     active = np.ones(len(initial_val), dtype=bool)
     for epoch in range(1, opts.max_epochs + 1):
         if not active.any():
             break
         order = np.stack([r.permutation(len(z_tr)) for r in member_rngs])
+        z_ep, y_ep = z_tr[order], y_tr[order]
         for start in range(0, len(z_tr), opts.batch_size):
-            batch = order[:, start : start + opts.batch_size]
-            zb, yb = z_tr[batch], y_tr[batch]
+            zb, yb = z_ep[:, start : start + opts.batch_size], y_ep[:, start : start + opts.batch_size]
             pred, acts = forward(weights, biases, zb)
-            grad_out = 2.0 * (pred - yb) / (batch.shape[1] * yb.shape[2])
-            adam.step(params, _grads(weights, zb, grad_out, acts))
+            grad_out = 2.0 * (pred - yb) / (yb.shape[1] * yb.shape[2])
+            _grads(weights, zb, grad_out, acts, g_w, g_b)
+            adam.step(flat, grad)
         val_loss = _mse(weights, biases, z_val, y_val)
         epochs_run[active] = epoch
         diverged = active & ~np.isfinite(val_loss)
@@ -353,11 +390,10 @@ def train(ensemble: Ensemble, data: TransitionDataset, opts: TrainOptions) -> tu
         improved = active & (val_loss < best_val)
         best_val[improved] = val_loss[improved]
         best_epoch[improved] = epoch
-        for b, p in zip(best, params):
-            b[improved] = p[improved]
+        best[improved] = flat[improved]
         active &= improved | (epoch - best_epoch < opts.patience)
 
-    weights, biases = best[:n_layers], best[n_layers:]
+    weights, biases = ([a.copy() for a in views] for views in _layer_views(best, ensemble.weights))
     final_train = _mse(weights, biases, z_tr, y_tr)
     if not np.isfinite(final_train).all():
         raise TrainingDivergenceError(f"member {np.argmin(np.isfinite(final_train))}: non-finite training loss")

@@ -300,7 +300,9 @@ def train_loop(
     separate from collection episodes so the two augmentation flags act
     independently; iteration 0 records the untrained-model evaluation. An
     iteration whose dataset is still below ``min_rows`` rows (early
-    terminations) keeps the current model and logs empty losses.
+    terminations) keeps the current model and logs empty losses. Each
+    iteration's losses row also carries the train report's ``initial_val``
+    and ``epochs_run`` and the dataset's ``n_rejected`` count.
     """
     record = RunRecord(n=env.n, m=env.m)
     c = step_columns(env.n, env.m)
@@ -323,11 +325,13 @@ def train_loop(
             record.add_episode(PHASE_COLLECT, iteration, ep, seed, result)
             for row, x_next in zip(result.rows, result.x_next):
                 dataset.append(row[c["x"]], row[c["u_rl"]], x_next)
-        losses = {"iteration": iteration, "rows": len(dataset), "train_loss": [], "val_loss": []}
+        losses = {"iteration": iteration, "rows": len(dataset), "train_loss": [], "val_loss": [],
+                  "initial_val": [], "epochs_run": [], "n_rejected": dataset.n_rejected}
         if len(dataset) >= train_opts.min_rows:
             opts = replace(train_opts, seed=train_opts.seed * 1_000_003 + seed * 1_009 + iteration)
             model, report = train(model, dataset, opts)
-            losses.update(train_loss=report.final_train, val_loss=report.best_val)
+            losses.update(train_loss=report.final_train, val_loss=report.best_val,
+                          initial_val=report.initial_val, epochs_run=report.epochs_run)
         record.iteration_losses.append(losses)
         evaluate(iteration)
     return record, model

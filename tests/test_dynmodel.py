@@ -10,8 +10,10 @@ from l1aug.dynmodel import (
     Ensemble,
     Normalizer,
     TrainOptions,
+    TrainReport,
     TrainingDivergenceError,
     TransitionDataset,
+    forward,
     make_ensemble,
     train,
     unnormalize_jacobian,
@@ -97,6 +99,7 @@ def test_train_requires_rows():
 @pytest.mark.parametrize("bad", [
     {"batch_size": 0}, {"lr": 0.0}, {"lr": float("nan")}, {"max_epochs": -1}, {"patience": -1},
     {"val_fraction": 1.0}, {"val_fraction": -0.1},
+    {"batch_size": 2.5}, {"max_epochs": True}, {"patience": 3.0}, {"min_rows": "64"}, {"min_rows": False},
 ])
 def test_train_options_reject_unrunnable_values(bad):
     with pytest.raises(ValueError, match="TrainOptions"):
@@ -178,6 +181,111 @@ def test_lockstep_training_keeps_members_independent():
         assert getattr(solo_report, name)[0] == getattr(trio_report, name)[0]
     assert len(set(trio_report.epochs_run)) > 1
     assert max(trio_report.epochs_run) > trio_report.epochs_run[0]
+
+
+class ReferenceAdam:
+    """Adam stepped one parameter array at a time, with a fresh temporary per ufunc."""
+
+    def __init__(self, params, lr):
+        self.lr = lr
+        self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads):
+        self.t += 1
+        c1 = 1.0 - self.b1**self.t
+        c2 = 1.0 - self.b2**self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+def reference_train(ensemble, data, opts):
+    """``train`` over separate per-layer arrays, gathering every batch's rows on its own."""
+    xs, us, xns = data.as_arrays()
+    inputs, targets = np.concatenate([xs, us], axis=1), xns - xs
+    perm = np.random.default_rng([opts.seed, 0x7472]).permutation(len(inputs))
+    n_val = max(1, int(round(opts.val_fraction * len(inputs))))
+    val_idx, tr_idx = perm[:n_val], perm[n_val:]
+    normalizer = Normalizer.fit(inputs[tr_idx], targets[tr_idx])
+    z_tr, y_tr = normalizer.norm_in(inputs[tr_idx]), normalizer.norm_out(targets[tr_idx])
+    z_val, y_val = normalizer.norm_in(inputs[val_idx]), normalizer.norm_out(targets[val_idx])
+
+    def mse(weights, biases, z, y):
+        return np.mean((forward(weights, biases, z)[0] - y) ** 2, axis=(1, 2))
+
+    def grads(weights, z, delta, acts):
+        ins = [z, *acts]
+        g_w, g_b = [None] * len(weights), [None] * len(weights)
+        for i in range(len(weights) - 1, -1, -1):
+            g_w[i], g_b[i] = delta.swapaxes(1, 2) @ ins[i], delta.sum(axis=1)
+            if i > 0:
+                delta = (delta @ weights[i]) * (1.0 - ins[i] ** 2)
+        return g_w + g_b
+
+    n_layers = len(ensemble.weights)
+    params = [p.copy() for p in ensemble.weights + ensemble.biases]
+    weights, biases = params[:n_layers], params[n_layers:]
+    adam = ReferenceAdam(params, opts.lr)
+    initial_val = mse(weights, biases, z_val, y_val)
+    member_rngs = [np.random.default_rng([opts.seed, 0x6D62, k]) for k in range(len(initial_val))]
+    best_val, best = initial_val.copy(), [p.copy() for p in params]
+    best_epoch, epochs_run = np.zeros((2, len(initial_val)), dtype=int)
+    active = np.ones(len(initial_val), dtype=bool)
+    for epoch in range(1, opts.max_epochs + 1):
+        if not active.any():
+            break
+        order = np.stack([r.permutation(len(z_tr)) for r in member_rngs])
+        for start in range(0, len(z_tr), opts.batch_size):
+            batch = order[:, start : start + opts.batch_size]
+            zb, yb = z_tr[batch], y_tr[batch]
+            pred, acts = forward(weights, biases, zb)
+            grad_out = 2.0 * (pred - yb) / (batch.shape[1] * yb.shape[2])
+            adam.step(params, grads(weights, zb, grad_out, acts))
+        val_loss = mse(weights, biases, z_val, y_val)
+        epochs_run[active] = epoch
+        improved = active & (val_loss < best_val)
+        best_val[improved] = val_loss[improved]
+        best_epoch[improved] = epoch
+        for b, p in zip(best, params):
+            b[improved] = p[improved]
+        active &= improved | (epoch - best_epoch < opts.patience)
+
+    weights, biases = best[:n_layers], best[n_layers:]
+    final_train = mse(weights, biases, z_tr, y_tr)
+    report = TrainReport(initial_val.tolist(), final_train.tolist(), best_val.tolist(), epochs_run.tolist())
+    return Ensemble(weights=weights, biases=biases, normalizer=normalizer), report
+
+
+@pytest.mark.parametrize("hidden, members, opts, staggered", [
+    ((16, 16), 3, TrainOptions(lr=1e-2, patience=3, seed=0), True),
+    ((8,), 4, TrainOptions(lr=1e-2, batch_size=7, max_epochs=6, seed=1), False),
+    ((), 1, TrainOptions(max_epochs=5, seed=2), False),
+    ((8,), 4, TrainOptions(max_epochs=0, seed=3), False),
+    ((16, 16), 1, TrainOptions(lr=1e-2, batch_size=7, max_epochs=8, patience=2, seed=4), False),
+], ids=["staggered-stops", "batch-7-four-members", "no-hidden-layer", "zero-epochs", "one-member-batch-7"])
+def test_train_matches_per_array_reference(hidden, members, opts, staggered):
+    # The flat-buffer Adam, in-place gradients and per-epoch gather reproduce
+    # the per-array loop bit for bit; 160 training rows leave a partial last
+    # batch of 6 at batch size 7.
+    data = noisy_dataset(200, 0)
+    ens = make_ensemble(1, 1, hidden=hidden, members=members, seed=3)
+    before = [a.copy() for a in ens.weights + ens.biases]
+    trained, report = train(ens, data, opts)
+    ref, ref_report = reference_train(ens, data, opts)
+    for a, b in zip(trained.weights + trained.biases, ref.weights + ref.biases):
+        assert a.shape == b.shape and a.flags.c_contiguous
+        assert np.array_equal(a, b)
+    assert report == ref_report
+    assert (len(set(report.epochs_run)) > 1) == staggered
+    for original, kept in zip(before, ens.weights + ens.biases):
+        assert np.array_equal(original, kept)
+        assert not any(np.shares_memory(kept, a) for a in trained.weights + trained.biases)
 
 
 # --- Prediction and ensemble arithmetic ----------------------------------------

@@ -278,7 +278,8 @@ def test_train_loop_skips_retrain_below_min_rows():
     opts = TrainOptions(max_epochs=2, min_rows=16)
     record, model = train_loop(env, DisturbanceSpec(), loop, MpcConfig(horizon=3, n_candidates=8),
                                default_l1_config(2, env.dt, 0.3), train_opts=opts, members=2, hidden=(8,), seed=4)
-    assert record.iteration_losses == [{"iteration": 1, "rows": len(record.dataset), "train_loss": [], "val_loss": []}]
+    assert record.iteration_losses == [{"iteration": 1, "rows": len(record.dataset), "train_loss": [], "val_loss": [],
+                                        "initial_val": [], "epochs_run": [], "n_rejected": 0}]
     assert len(record.dataset) < opts.min_rows
     assert set(record.eval_returns) == {0, 1}
     untrained = make_ensemble(2, 1, hidden=(8,), members=2, seed=4)
@@ -294,6 +295,16 @@ def _tiny_loop_record(l1_train, l1_test, seed=5):
     record, _ = train_loop(env, DisturbanceSpec(), loop, MpcConfig(horizon=3, n_candidates=16),
                            default_l1_config(2, env.dt, 0.3), train_opts=opts, seed=seed)
     return record
+
+
+def test_train_loop_logs_the_train_report():
+    record = _tiny_loop_record(True, True)
+    (row,) = record.iteration_losses
+    assert set(row) == {"iteration", "rows", "train_loss", "val_loss", "initial_val", "epochs_run", "n_rejected"}
+    assert row["n_rejected"] == record.dataset.n_rejected
+    assert len(row["initial_val"]) == len(row["val_loss"]) == 3
+    assert all(isinstance(e, int) and 1 <= e <= 5 for e in row["epochs_run"])
+    assert all(best <= init for best, init in zip(row["val_loss"], row["initial_val"]))
 
 
 def test_train_loop_deterministic_bytes(tmp_path):
