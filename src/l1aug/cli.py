@@ -221,6 +221,8 @@ def resolve_config(cfg, seed_override: tuple[int, ...] = (), out_override: str |
     cfg.seeds = list(seed_override or cfg.seeds)
     if not cfg.seeds:
         raise ConfigError("seeds list must not be empty")
+    if any(seed < 0 for seed in cfg.seeds):
+        raise ConfigError(f"seeds must be >= 0, got {cfg.seeds}")
     _build_pieces(cfg)
     return cfg
 
@@ -354,8 +356,8 @@ def cmd_verify(config_path, out_override):
             spec = make_synthetic_spec(cfg.synthetic.preset, **params)
         with _config_section(config_path):
             grid_l1_configs(spec, cfg.as_value, cfg.omega_factor)
-            if cfg.assumption_samples < 1:
-                raise ValueError("assumption_samples must be >= 1")
+            if cfg.assumption_samples < 1 or cfg.assumption_seed < 0:
+                raise ValueError("need assumption_samples >= 1 and assumption_seed >= 0")
     except ConfigError as exc:
         _config_error(exc)
 

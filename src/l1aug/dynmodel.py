@@ -168,11 +168,21 @@ class PlanningMap:
         biases[-1] = biases[-1].mean(axis=0) * norm.sd_out + norm.mu_out
         self.weights = [np.ascontiguousarray(w, dtype=np.float32) for w in weights]
         self.biases = [b[:, None, :].astype(np.float32) for b in biases[:-1]] + [biases[-1].astype(np.float32)]
+        self._full_biases: dict[int, list[Array]] = {}
 
     def __call__(self, xu: Array) -> Array:
-        """(rows, n + m) float32 inputs to (rows, n) mean increments."""
+        """(rows, n + m) float32 inputs to (rows, n) mean increments.
+
+        Each hidden bias is added as a contiguous (members, rows, width) copy,
+        built on the first call at a row count and kept: broadcasting the
+        (members, 1, width) bias instead runs one short inner loop per row,
+        which costs about twice as much as the add itself.
+        """
+        full = self._full_biases.get(len(xu))
+        if full is None:
+            full = self._full_biases[len(xu)] = [np.repeat(b, len(xu), axis=1) for b in self.biases[:-1]]
         a = xu
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+        for w, b in zip(self.weights[:-1], full):
             # In place: a fresh (members, rows, width) temporary per op costs more than the op.
             a = a @ w
             a += b
@@ -245,12 +255,12 @@ class TrainOptions:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "max_epochs", "patience", "min_rows"):
+        for name in ("batch_size", "max_epochs", "patience", "min_rows", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"TrainOptions: {name} must be an integer, got {value!r}")
-        if not self.lr > 0 or self.batch_size < 1 or self.max_epochs < 0 or self.patience < 0:
-            raise ValueError("TrainOptions: need lr > 0, batch_size >= 1, max_epochs >= 0 and patience >= 0")
+        if not self.lr > 0 or self.batch_size < 1 or self.max_epochs < 0 or self.patience < 0 or self.seed < 0:
+            raise ValueError("TrainOptions: need lr > 0, batch_size >= 1, and max_epochs, patience and seed >= 0")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("TrainOptions: val_fraction must lie in [0, 1)")
 
@@ -327,6 +337,50 @@ def _grads(weights: list[Array], z: Array, delta: Array, acts: list[Array],
             delta = (delta @ weights[i]) * (1.0 - ins[i] ** 2)
 
 
+def _fit(ensemble: Ensemble, z_tr: Array, y_tr: Array, z_val: Array, y_val: Array,
+         opts: TrainOptions) -> tuple[Array, Array, Array, Array]:
+    """Every member's Adam epochs with early stopping, over one (members, P) buffer.
+
+    Returns the initial and best validation losses, the best-weight buffer and
+    the epochs each member ran. The epoch's gathered rows, Adam's state and the
+    gradient buffer are freed on return, before the caller's full-training-set
+    loss sets the peak memory.
+    """
+    flat = np.concatenate([a.reshape(len(a), -1) for pair in zip(ensemble.weights, ensemble.biases)
+                           for a in pair], axis=1)
+    weights, biases = _layer_views(flat, ensemble.weights)
+    grad = np.empty_like(flat)
+    g_w, g_b = _layer_views(grad, ensemble.weights)
+    adam = _Adam(flat, opts.lr)
+    initial_val = _mse(weights, biases, z_val, y_val)
+    member_rngs = [np.random.default_rng([opts.seed, 0x6D62, k]) for k in range(len(initial_val))]
+    best_val, best = initial_val.copy(), flat.copy()
+    best_epoch, epochs_run = np.zeros((2, len(initial_val)), dtype=int)
+    active = np.ones(len(initial_val), dtype=bool)
+    for epoch in range(1, opts.max_epochs + 1):
+        if not active.any():
+            break
+        order = np.stack([r.permutation(len(z_tr)) for r in member_rngs])
+        z_ep, y_ep = z_tr[order], y_tr[order]
+        for start in range(0, len(z_tr), opts.batch_size):
+            zb, yb = z_ep[:, start : start + opts.batch_size], y_ep[:, start : start + opts.batch_size]
+            pred, acts = forward(weights, biases, zb)
+            grad_out = 2.0 * (pred - yb) / (yb.shape[1] * yb.shape[2])
+            _grads(weights, zb, grad_out, acts, g_w, g_b)
+            adam.step(flat, grad)
+        val_loss = _mse(weights, biases, z_val, y_val)
+        epochs_run[active] = epoch
+        diverged = active & ~np.isfinite(val_loss)
+        if diverged.any():
+            raise TrainingDivergenceError(f"member {np.argmax(diverged)}: non-finite validation loss at epoch {epoch}")
+        improved = active & (val_loss < best_val)
+        best_val[improved] = val_loss[improved]
+        best_epoch[improved] = epoch
+        best[improved] = flat[improved]
+        active &= improved | (epoch - best_epoch < opts.patience)
+    return initial_val, best_val, best, epochs_run
+
+
 def train(ensemble: Ensemble, data: TransitionDataset, opts: TrainOptions) -> tuple[Ensemble, TrainReport]:
     """Train every member on the normalized increment loss with early stopping.
 
@@ -360,39 +414,7 @@ def train(ensemble: Ensemble, data: TransitionDataset, opts: TrainOptions) -> tu
     z_val = normalizer.norm_in(inputs[val_idx])
     y_val = normalizer.norm_out(targets[val_idx])
 
-    flat = np.concatenate([a.reshape(len(a), -1) for pair in zip(ensemble.weights, ensemble.biases)
-                           for a in pair], axis=1)
-    weights, biases = _layer_views(flat, ensemble.weights)
-    grad = np.empty_like(flat)
-    g_w, g_b = _layer_views(grad, ensemble.weights)
-    adam = _Adam(flat, opts.lr)
-    initial_val = _mse(weights, biases, z_val, y_val)
-    member_rngs = [np.random.default_rng([opts.seed, 0x6D62, k]) for k in range(len(initial_val))]
-    best_val, best = initial_val.copy(), flat.copy()
-    best_epoch, epochs_run = np.zeros((2, len(initial_val)), dtype=int)
-    active = np.ones(len(initial_val), dtype=bool)
-    for epoch in range(1, opts.max_epochs + 1):
-        if not active.any():
-            break
-        order = np.stack([r.permutation(len(z_tr)) for r in member_rngs])
-        z_ep, y_ep = z_tr[order], y_tr[order]
-        for start in range(0, len(z_tr), opts.batch_size):
-            zb, yb = z_ep[:, start : start + opts.batch_size], y_ep[:, start : start + opts.batch_size]
-            pred, acts = forward(weights, biases, zb)
-            grad_out = 2.0 * (pred - yb) / (yb.shape[1] * yb.shape[2])
-            _grads(weights, zb, grad_out, acts, g_w, g_b)
-            adam.step(flat, grad)
-        val_loss = _mse(weights, biases, z_val, y_val)
-        epochs_run[active] = epoch
-        diverged = active & ~np.isfinite(val_loss)
-        if diverged.any():
-            raise TrainingDivergenceError(f"member {np.argmax(diverged)}: non-finite validation loss at epoch {epoch}")
-        improved = active & (val_loss < best_val)
-        best_val[improved] = val_loss[improved]
-        best_epoch[improved] = epoch
-        best[improved] = flat[improved]
-        active &= improved | (epoch - best_epoch < opts.patience)
-
+    initial_val, best_val, best, epochs_run = _fit(ensemble, z_tr, y_tr, z_val, y_val, opts)
     weights, biases = ([a.copy() for a in views] for views in _layer_views(best, ensemble.weights))
     final_train = _mse(weights, biases, z_tr, y_tr)
     if not np.isfinite(final_train).all():

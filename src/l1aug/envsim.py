@@ -76,8 +76,9 @@ class EnvSpec:
     def clamp_input(self, u: Array) -> Array:
         return np.clip(u, self.input_low, self.input_high)
 
-    def in_state_bounds(self, x: Array) -> bool:
-        return bool((x >= self.state_low).all() and (x <= self.state_high).all())
+    def in_state_bounds(self, x: Array) -> Array:
+        """Whether each state along the last axis of ``x`` lies in the closed state box; NaN lies outside."""
+        return ((x >= self.state_low) & (x <= self.state_high)).all(axis=-1)
 
 
 @dataclass(frozen=True)

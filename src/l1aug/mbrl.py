@@ -75,33 +75,37 @@ class LoopConfig:
 def mpc_action(model: Ensemble, env: EnvSpec, x: Array, mpc: MpcConfig, rng: np.random.Generator) -> Array:
     """First action of the best sampled sequence under the learned model.
 
-    An Ensemble rolls out through its float32 planning map; any other model
-    through its predict_mean. The start state is validated once, here.
+    The plan rolls out as one block. The candidates are written once into a
+    (horizon, N, n + m) input block in the map's dtype; each horizon step
+    copies the states in, calls the map and adds the increments into a
+    (horizon + 1, N, n) float64 state block. The state-box test, survival,
+    reward and the sum over the horizon (in horizon order) then run once over
+    the whole block. An Ensemble rolls out through its float32 planning map;
+    any other model through its predict_mean. The start state is validated
+    once, here.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (env.n,):
         raise ValueError(f"expected state shape ({env.n},), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite model input")
-    cands = rng.uniform(env.input_low, env.input_high, size=(mpc.n_candidates, mpc.horizon, env.m))
+    n, horizon, n_cands = env.n, mpc.horizon, mpc.n_candidates
+    cands = rng.uniform(env.input_low, env.input_high, size=(n_cands, horizon, env.m))
+    u = cands.swapaxes(0, 1)
     if hasattr(model, "planning_map"):
         plan, dtype = model.planning_map, np.float32
     else:
-        plan, dtype = (lambda xu: model.predict_mean(xu[:, :env.n], xu[:, env.n:])), float
-    xu = np.empty((mpc.n_candidates, env.n + env.m), dtype=dtype)
-    states = np.broadcast_to(x, (mpc.n_candidates, env.n)).copy()
-    total = np.zeros(mpc.n_candidates)
-    alive = np.ones(mpc.n_candidates, dtype=bool)
-    for k in range(mpc.horizon):
-        u = cands[:, k, :]
-        xu[:, :env.n] = states
-        xu[:, env.n:] = u
-        states = states + plan(xu)
-        in_bounds = ((states >= env.state_low) & (states <= env.state_high)).all(axis=1)
-        alive &= in_bounds
-        total += np.where(alive, env.reward(states, u), 0.0)
-    best = int(np.argmax(total))
-    return cands[best, 0, :]
+        plan, dtype = (lambda xu: model.predict_mean(xu[:, :n], xu[:, n:])), float
+    xu = np.empty((horizon, n_cands, n + env.m), dtype=dtype)
+    xu[:, :, n:] = u
+    states = np.empty((horizon + 1, n_cands, n))
+    states[0] = x
+    for k in range(horizon):
+        xu[k, :, :n] = states[k]
+        np.add(states[k], plan(xu[k]), out=states[k + 1])
+    alive = np.logical_and.accumulate(env.in_state_bounds(states[1:]), axis=0)
+    total = np.where(alive, env.reward(states[1:], u), 0.0).sum(axis=0)
+    return cands[int(np.argmax(total)), 0, :]
 
 
 def _step_fields(n: int, m: int) -> tuple[tuple[str, int | None], ...]:

@@ -109,6 +109,9 @@ def test_cli_run_invalid_config_exits_1(tmp_path):
     ("verify", {"assumption_samples": 100.0}),
     ("run", {"env": {"overrides": {"horizon": 40.0}}}),
     ("run", {"model": {"hidden": [True, 16]}}),
+    ("run", {"seeds": [-1]}),
+    ("compare", {"seeds": [0, -3]}),
+    ("verify", {"assumption_seed": -1}),
 ])
 def test_cli_invalid_value_is_config_error(tmp_path, command, data):
     path = write_yaml(tmp_path / "bad.yaml", dict(data, out=str(tmp_path / "out")))
@@ -381,3 +384,13 @@ def test_seed_override(tiny_run_cfg, tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = (out / "episodes.csv").read_text().splitlines()[1:]
     assert all(line.split(",")[3] == "7" for line in lines)
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_negative_seed_override_is_config_error(tiny_run_cfg, tmp_path, command):
+    out = tmp_path / "neg"
+    proc = run_cli([command, str(tiny_run_cfg), "--out", str(out), "-s", "-1"], cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "config error" in proc.stderr and "seeds must be >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

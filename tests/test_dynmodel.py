@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from l1aug.dynmodel import (
     Ensemble,
     Normalizer,
+    PlanningMap,
     TrainOptions,
     TrainReport,
     TrainingDivergenceError,
@@ -100,6 +101,7 @@ def test_train_requires_rows():
     {"batch_size": 0}, {"lr": 0.0}, {"lr": float("nan")}, {"max_epochs": -1}, {"patience": -1},
     {"val_fraction": 1.0}, {"val_fraction": -0.1},
     {"batch_size": 2.5}, {"max_epochs": True}, {"patience": 3.0}, {"min_rows": "64"}, {"min_rows": False},
+    {"seed": 1.5}, {"seed": True}, {"seed": -2},
 ])
 def test_train_options_reject_unrunnable_values(bad):
     with pytest.raises(ValueError, match="TrainOptions"):
@@ -373,6 +375,18 @@ def test_planning_map_is_rebuilt_for_a_trained_ensemble(linear_dataset):
     assert not np.allclose(trained.planning_map(xu), before)
     assert_plan_matches_mean(trained, xs, us)
     assert np.array_equal(ens.planning_map(xu), before)
+
+
+def test_planning_map_alternating_row_counts_match_a_fresh_map(linear_ensemble):
+    # The full-shape biases are built per row count: switching between the
+    # planner's batch and a smaller one must not reuse the wrong shape.
+    trained, _ = linear_ensemble
+    rng = np.random.default_rng(12)
+    batches = [rng.uniform(-2, 2, (rows, 3)).astype(np.float32) for rows in (200, 16, 200, 1, 16)]
+    reused = PlanningMap(trained)
+    for xu in batches:
+        assert np.array_equal(reused(xu), PlanningMap(trained)(xu))
+    assert sorted(reused._full_biases) == [1, 16, 200]
 
 
 # --- Input Jacobian --------------------------------------------------------------

@@ -35,6 +35,29 @@ def test_override_applies():
     assert env.horizon == 7
 
 
+def test_in_state_bounds_over_leading_axes(rng):
+    # Cartpole's box, with states on, inside, just outside and NaN: the result
+    # keeps every leading axis and equals the per-state scalar rule.
+    env = make_env("cartpole")
+    low, high = env.state_low, env.state_high
+    special = np.stack([low, high, 0.5 * (low + high), np.nextafter(low, -np.inf), np.nextafter(high, np.inf),
+                        np.where(np.arange(4) == 2, np.nan, 0.0), np.full(4, np.nan),
+                        np.where(np.arange(4) == 0, high, low)])
+    assert env.in_state_bounds(special).tolist() == [True, True, True, False, False, False, False, True]
+    block = rng.uniform(1.2 * low, 1.2 * high, size=(5, 9, 4))
+    block[0, :len(special)] = special
+    block[3, 2, 1] = high[1]
+    block[4, 8, 3] = np.nan
+    inside = env.in_state_bounds(block)
+    assert inside.shape == (5, 9)
+    for index in np.ndindex(5, 9):
+        x = block[index]
+        assert inside[index] == (all(low <= x) and all(x <= high))
+        assert env.in_state_bounds(x) == inside[index] and env.in_state_bounds(x).shape == ()
+    assert np.array_equal(env.in_state_bounds(block[2]), inside[2])
+    assert inside[3, 2] == all(low <= block[3, 2]) and not inside[4, 8]
+
+
 def test_double_integrator_equilibrium(rng):
     env = make_env("double_integrator")
     tr = step_true(env, DisturbanceSpec(), np.array([1.0, 0.0]), np.zeros(1), 0, rng)

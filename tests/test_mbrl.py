@@ -1,11 +1,12 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from l1aug import envsim
 from l1aug.affine import replay_switch_count
-from l1aug.dynmodel import TrainOptions, make_ensemble
+from l1aug.dynmodel import Normalizer, TrainOptions, make_ensemble
 from l1aug.envsim import DisturbanceSpec, make_env
 from l1aug.l1core import default_l1_config
 from l1aug.mbrl import (
@@ -107,6 +108,104 @@ def test_mpc_float32_planning_picks_the_float64_actions(pendulum_ensemble):
         fast = mpc_action(model, env, x, mpc, np.random.default_rng(i))
         exact = mpc_action(MeanOnly(model), env, x, mpc, np.random.default_rng(i))
         assert np.array_equal(fast, exact)
+
+
+def reference_mpc_action(model, env, x, mpc, rng):
+    """The planner as one map call, one bounds test and one reward per horizon step.
+
+    Returns the action and the (horizon, N) survival mask. An Ensemble's
+    planning map runs with its (members, 1, width) biases broadcast.
+    """
+    cands = rng.uniform(env.input_low, env.input_high, size=(mpc.n_candidates, mpc.horizon, env.m))
+    if hasattr(model, "planning_map"):
+        pm = model.planning_map
+
+        def plan(xu):
+            a = xu
+            for w, b in zip(pm.weights[:-1], pm.biases[:-1]):
+                a = a @ w
+                a += b
+                np.tanh(a, out=a)
+            return (a @ pm.weights[-1]).sum(axis=0) + pm.biases[-1]
+
+        dtype = np.float32
+    else:
+        plan, dtype = (lambda xu: model.predict_mean(xu[:, :env.n], xu[:, env.n:])), float
+    xu = np.empty((mpc.n_candidates, env.n + env.m), dtype=dtype)
+    states = np.broadcast_to(x, (mpc.n_candidates, env.n)).copy()
+    total = np.zeros(mpc.n_candidates)
+    alive = np.ones(mpc.n_candidates, dtype=bool)
+    survival = []
+    for k in range(mpc.horizon):
+        u = cands[:, k, :]
+        xu[:, :env.n] = states
+        xu[:, env.n:] = u
+        states = states + plan(xu)
+        in_bounds = ((states >= env.state_low) & (states <= env.state_high)).all(axis=1)
+        alive &= in_bounds
+        survival.append(alive.copy())
+        total += np.where(alive, env.reward(states, u), 0.0)
+    return cands[int(np.argmax(total)), 0, :], np.array(survival)
+
+
+def assert_block_matches_reference(model, env, states, mpc, seed0=0):
+    """Equal actions for every start state; returns the reference survival masks."""
+    masks = []
+    for i, x in enumerate(states):
+        got = mpc_action(model, env, x, mpc, np.random.default_rng(seed0 + i))
+        want, alive = reference_mpc_action(model, env, x, mpc, np.random.default_rng(seed0 + i))
+        assert np.array_equal(got, want), (i, got, want)
+        masks.append(alive)
+    return np.array(masks)
+
+
+def left_mid_horizon(masks):
+    """How many rollouts were alive after the first step and dead by the last."""
+    return int((masks[:, 0] & ~masks[:, -1]).sum())
+
+
+def test_block_rollout_matches_per_step_reference(pendulum_ensemble):
+    # Start states near the angle bound, so many rollouts leave the box mid-horizon.
+    env, model = pendulum_ensemble
+    states = np.random.default_rng(5).uniform([2.4, -6.0], [3.1, 6.0], size=(40, 2))
+    states[::2] *= -1
+    for mpc in (MpcConfig(horizon=15, n_candidates=200), MpcConfig(horizon=1, n_candidates=200),
+                MpcConfig(horizon=6, n_candidates=2)):
+        for m in (model, MeanOnly(model)):
+            masks = assert_block_matches_reference(m, env, states, mpc, seed0=100)
+            if mpc.horizon > 1:
+                assert left_mid_horizon(masks) > 0
+
+
+def test_block_rollout_matches_reference_on_an_untrained_four_state_net():
+    # A cartpole-shaped net with a non-trivial normalizer, and start states on
+    # and near the box, exactly on a bound included.
+    env = make_env("cartpole")
+    rng = np.random.default_rng(9)
+    norm = Normalizer(mu_in=rng.normal(size=5), sd_in=rng.uniform(0.5, 2.0, 5),
+                      mu_out=np.zeros(4), sd_out=np.full(4, 0.05))
+    model = replace(make_ensemble(4, 1, hidden=(16, 8), members=3, seed=2), normalizer=norm)
+    states = rng.uniform(0.8 * env.state_low, 0.8 * env.state_high, size=(30, 4))
+    states[:10, 2] = env.state_high[2]
+    for m in (model, MeanOnly(model)):
+        masks = assert_block_matches_reference(m, env, states, MpcConfig(horizon=8, n_candidates=64))
+        assert left_mid_horizon(masks) > 0
+
+
+def test_block_rollout_breaks_exact_ties_like_the_reference():
+    # Rewards rounded to whole numbers tie across many candidates; the lowest
+    # index wins in both.
+    env = make_scalar_env(lambda x, u: -np.round(np.abs(x[..., 0])))
+    for horizon in (1, 4):
+        mpc = MpcConfig(horizon=horizon, n_candidates=50)
+        states = np.linspace(-3.0, 3.0, 25)[:, None]
+        assert_block_matches_reference(UnitIncrementModel(), env, states, mpc)
+        # Each candidate alternates c, -c, so every visited state rounds to 0.
+        first = np.array([0.3, 0.1, 0.2, -0.1])
+        seq = first[:, None, None] * (-1.0) ** np.arange(horizon)[None, :, None]
+        u = mpc_action(UnitIncrementModel(), env, np.array([0.0]), MpcConfig(horizon=horizon, n_candidates=4),
+                       FixedCandidateRng(seq))
+        assert u[0] == 0.3
 
 
 def test_mpc_validates_the_start_state_at_entry():
