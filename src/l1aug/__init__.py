@@ -1,6 +1,6 @@
 """Adaptive-control augmentation for model-based RL on desk-scale systems."""
 
-from .affine import AffineModel, SwitchEvent, affinize, reanchor, switching_check
+from .affine import AffineModel, affinize, reanchor, switching_check
 from .dynmodel import Ensemble, Normalizer, TrainOptions, TransitionDataset, make_ensemble, train
 from .envsim import DisturbanceSpec, EnvSpec, Transition, make_env, step_true
 from .l1core import L1Config, L1State, adapt, decompose, filter_step, l1_control, l1_input

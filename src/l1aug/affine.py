@@ -3,7 +3,8 @@
 Around an anchor input ubar, the model is expanded to first order in the
 input only: dx ~ g(x) + h(x) u with h(x) the input Jacobian evaluated at
 (x, ubar). When the expansion drifts from the full model by at least eps_a
-at the current operating point, the caller re-anchors at the current input.
+at the current operating point, the switching law ``reanchor`` re-anchors at
+the current input.
 
 Any object exposing ``predict_mean(x, u)`` and ``jacobian_u(x, u)`` can be
 affinized; the trained ensemble and the synthetic specs of the
@@ -12,7 +13,7 @@ verification harness both satisfy that protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,20 +21,10 @@ Array = np.ndarray
 
 
 @dataclass(frozen=True)
-class SwitchEvent:
-    """One re-anchoring: the residual that tripped the check and both anchors."""
-
-    t: int
-    old_anchor: Array
-    new_anchor: Array
-    residual: float
-
-
-@dataclass(frozen=True)
 class SwitchDecision:
     switch: bool
     residual: float
-    parts: tuple[Array, Array] = field(repr=False, compare=False)  # the checked am.parts(x), reused if am is kept
+    parts: tuple[Array, Array] = field(repr=False, compare=False)  # parts(x) of the model the decision returned with
 
 
 @dataclass(frozen=True)
@@ -53,9 +44,9 @@ class AffineModel:
         jac = self.model.jacobian_u(x, self.ubar)
         return f_anchor, jac
 
-    def predict(self, x: Array, u: Array, parts: tuple[Array, Array] | None = None) -> Array:
-        """g(x) + h(x) u, exact at u = ubar; ``parts`` is ``self.parts(x)`` when already evaluated."""
-        f_anchor, jac = self.parts(x) if parts is None else parts
+    def predict(self, parts: tuple[Array, Array], u: Array) -> Array:
+        """g(x) + h(x) u from ``parts = self.parts(x)``, exact at u = ubar."""
+        f_anchor, jac = parts
         return f_anchor + jac @ (np.asarray(u, dtype=float) - self.ubar)
 
 
@@ -76,34 +67,26 @@ def switching_check(am: AffineModel, x: Array, u: Array, eps_a: float) -> Switch
     if eps_a <= 0:
         raise ValueError("switching_check: eps_a must be positive")
     parts = am.parts(x)
-    residual = float(np.linalg.norm(am.predict(x, u, parts) - am.model.predict_mean(x, u)))
+    residual = float(np.linalg.norm(am.predict(parts, u) - am.model.predict_mean(x, u)))
     return SwitchDecision(switch=residual >= eps_a, residual=residual, parts=parts)
 
 
 def reanchor(
     am: AffineModel | None, model: object, x: Array, u: Array, eps_a: float
-) -> tuple[AffineModel, SwitchDecision | None]:
+) -> tuple[AffineModel, SwitchDecision]:
     """The switching law: the model to use at (x, u) and the check that chose it.
 
-    With no model yet (``am`` is None) it anchors at u silently and returns
-    no decision; after that it re-anchors at u whenever the residual reaches
-    eps_a.
+    With no model yet (``am`` is None) it anchors at u without a switch and
+    with zero residual; after that it re-anchors at u whenever the residual
+    reaches eps_a. The decision's ``parts`` are the returned model's
+    ``parts(x)``: the checked ones when the model is kept, the new anchor's
+    otherwise.
     """
     if am is None:
-        return affinize(model, u), None
+        am = affinize(model, u)
+        return am, SwitchDecision(switch=False, residual=0.0, parts=am.parts(x))
     decision = switching_check(am, x, u, eps_a)
-    return (affinize(model, u) if decision.switch else am), decision
-
-
-def kept_parts(decision: SwitchDecision | None) -> tuple[Array, Array] | None:
-    """The checked model's ``parts(x)`` when ``reanchor`` kept that model, else None (a new anchor)."""
-    return None if decision is None or decision.switch else decision.parts
-
-
-def replay_switch_count(model: object, xs: Array, us: Array, eps_a: float) -> int:
-    """Count re-anchorings of the switching law over a recorded (x_t, u_t) trajectory."""
-    am, count = None, 0
-    for x, u in zip(xs, us):
-        am, decision = reanchor(am, model, x, u, eps_a)
-        count += int(decision is not None and decision.switch)
-    return count
+    if not decision.switch:
+        return am, decision
+    am = affinize(model, u)
+    return am, replace(decision, parts=am.parts(x))

@@ -133,7 +133,6 @@ class CompareConfig:
     l1: L1Section = field(default_factory=L1Section)
     loop: LoopConfig = field(default_factory=LoopConfig)
     sim_to_real: bool = False
-    eval_episodes: int = 4
     seeds: list[int] = field(default_factory=lambda: [0])
     out: str | None = None
     report_window: int = 5
@@ -250,6 +249,15 @@ def _write_meta(directory: Path, cfg, extra: dict | None = None) -> None:
         fh.write("\n")
 
 
+def _map_jobs(fn, calls: list[tuple], jobs: int):
+    """Yield ``fn(*call)`` for each call in order: in ``jobs`` worker processes when jobs > 1, else here."""
+    if jobs <= 1:
+        yield from map(fn, *zip(*calls))
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(fn, *zip(*calls))
+
+
 # --- run --------------------------------------------------------------------
 
 
@@ -317,14 +325,8 @@ def cmd_run(config_path, seed_override, out_override, jobs):
         directory = out_dir(sub.out)
         records: list[tuple[int, RunRecord]] = []
         try:
-            if jobs > 1 and len(sub.seeds) > 1:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    futures = [(seed, pool.submit(_run_one_seed, sub, seed)) for seed in sub.seeds]
-                    for seed, fut in futures:
-                        records.append((seed, fut.result()))
-            else:
-                for seed in sub.seeds:
-                    records.append((seed, _run_one_seed(sub, seed)))
+            for seed, record in zip(sub.seeds, _map_jobs(_run_one_seed, [(sub, seed) for seed in sub.seeds], jobs)):
+                records.append((seed, record))
         except Exception:
             _emit_run_outputs(directory, sub, records)
             click.echo("runtime abort; partial outputs flushed", err=True)
@@ -406,7 +408,7 @@ def _compare_cell(cfg: CompareConfig, scenario: DisturbanceSpec, seed: int, use_
         loop = replace(cfg.loop, l1_train=False, l1_test=False)
         _, model = train_loop(env, DisturbanceSpec(), loop, cfg.mpc, l1cfg, **model_kw)
         returns = []
-        for ep in range(cfg.eval_episodes):
+        for ep in range(cfg.loop.eval_episodes):
             result = run_episode(env, scenario, model, cfg.mpc, l1cfg, use_l1,
                                  episode_rng(seed, 10_000, ep, PHASE_EVAL))
             returns.append(result.episode_return)
@@ -442,20 +444,10 @@ def cmd_compare(config_path, seed_override, out_override, jobs):
         _config_error(exc)
 
     directory = out_dir(cfg.out)
-    cells = [(si, scenario, seed, use_l1)
-             for si, scenario in enumerate(cfg.scenarios)
-             for seed in cfg.seeds
-             for use_l1 in (False, True)]
-    results: dict[tuple[int, int, bool], float] = {}
+    cells = [(si, seed, use_l1) for si in range(len(cfg.scenarios)) for seed in cfg.seeds for use_l1 in (False, True)]
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {(si, seed, use_l1): pool.submit(_compare_cell, cfg, scenario, seed, use_l1)
-                           for si, scenario, seed, use_l1 in cells}
-                results = {key: fut.result() for key, fut in futures.items()}
-        else:
-            for si, scenario, seed, use_l1 in cells:
-                results[(si, seed, use_l1)] = _compare_cell(cfg, scenario, seed, use_l1)
+        calls = [(cfg, cfg.scenarios[si], seed, use_l1) for si, seed, use_l1 in cells]
+        results = dict(zip(cells, _map_jobs(_compare_cell, calls, jobs)))
     except Exception:
         traceback.print_exc()
         sys.exit(EXIT_RUNTIME)

@@ -50,9 +50,6 @@ class Normalizer:
     def norm_in(self, z: Array) -> Array:
         return (z - self.mu_in) / self.sd_in
 
-    def denorm_in(self, z: Array) -> Array:
-        return z * self.sd_in + self.mu_in
-
     def norm_out(self, y: Array) -> Array:
         return (y - self.mu_out) / self.sd_out
 

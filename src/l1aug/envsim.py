@@ -131,7 +131,6 @@ class Transition:
     x_next: Array
     x_next_true: Array
     reward: float
-    t: int
 
 
 def rk4_step(f: Callable[[float, Array], Array], t: float, x: Array, h: float) -> Array:
@@ -195,7 +194,7 @@ def step_true(
         x_next = x_next_true + rng.uniform(-dist.sigma_o, dist.sigma_o, size=env.n)
 
     r = float(env.reward(x, u_cmd))
-    return Transition(x=x, u_applied=u_cmd, x_next=x_next, x_next_true=x_next_true, reward=r, t=t)
+    return Transition(x=x, u_applied=u_cmd, x_next=x_next, x_next_true=x_next_true, reward=r)
 
 
 # --- Environment catalog ----------------------------------------------------

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from .affine import AffineModel, SwitchEvent, kept_parts, reanchor
+from .affine import AffineModel, reanchor
 from .dynmodel import Ensemble, TrainOptions, TransitionDataset, make_ensemble, train
 from .envsim import DisturbanceSpec, EnvSpec, EpisodeDiverged, step_true
 from .l1core import L1Config, L1State, l1_control
@@ -115,8 +116,12 @@ def _step_fields(n: int, m: int) -> tuple[tuple[str, int | None], ...]:
             ("reward", None), ("switch", None), ("switch_residual", None), ("anchor_norm", None))
 
 
+@cache
 def step_columns(n: int, m: int) -> dict[str, int | slice]:
-    """Where each field sits in a row of ``EpisodeResult.rows``: an index for a scalar, a slice for a vector."""
+    """Where each field sits in a row of ``EpisodeResult.rows``: an index for a scalar, a slice for a vector.
+
+    Cached per (n, m); callers share the returned dict and must not mutate it.
+    """
     cols, start = {}, 0
     for name, width in _step_fields(n, m):
         cols[name] = start if width is None else slice(start, start + width)
@@ -148,7 +153,6 @@ class EpisodeResult:
     x_next: Array
     episode_return: float
     terminated_early: bool
-    switch_events: list[SwitchEvent]
 
     @property
     def steps(self) -> int:
@@ -180,7 +184,6 @@ def run_episode(
     c = step_columns(env.n, env.m)
     rows = np.full((env.horizon, len(trace_columns(env.n, env.m)) - len(TRACE_KEYS)), np.nan)
     x_next = np.empty((env.horizon, env.n))
-    events: list[SwitchEvent] = []
     episode_return = 0.0
     terminated = False
     steps = 0
@@ -193,13 +196,10 @@ def run_episode(
         row[c["switch"]] = 0
         if use_l1:
             row[c["xhat"]] = l1.xhat
-            previous = am
             am, decision = reanchor(am, model, x_obs, u_rl, l1cfg.eps_a)
-            row[c["switch_residual"]] = 0.0 if decision is None else decision.residual
-            if decision is not None and decision.switch:
-                events.append(SwitchEvent(t=t, old_anchor=previous.ubar, new_anchor=am.ubar, residual=decision.residual))
-                row[c["switch"]] = 1
-            u_cmd, l1 = l1_control(u_rl, x_obs, am, l1, l1cfg, kept_parts(decision))
+            row[c["switch"]] = decision.switch
+            row[c["switch_residual"]] = decision.residual
+            u_cmd, l1 = l1_control(u_rl, x_obs, am, decision.parts, l1, l1cfg)
             row[c["anchor_norm"]] = np.linalg.norm(am.ubar)
         else:
             u_cmd = u_rl
@@ -228,7 +228,7 @@ def run_episode(
         steps = t + 1
 
     return EpisodeResult(rows=rows[:steps], x_next=x_next[:steps], episode_return=episode_return,
-                         terminated_early=terminated, switch_events=events)
+                         terminated_early=terminated)
 
 
 EPISODE_COLUMNS = ["phase", "iteration", "episode", "seed", "steps", "episode_return", "terminated_early", "n_switches"]
@@ -254,9 +254,10 @@ class RunRecord:
 
     def add_episode(self, phase: str, iteration: int, episode: int, seed: int, result: EpisodeResult) -> None:
         self.trace.append((phase, iteration, episode, seed, result.rows))
+        n_switches = np.count_nonzero(result.rows[:, step_columns(self.n, self.m)["switch"]])
         self.episodes.append([
             phase, str(iteration), str(episode), str(seed), str(result.steps),
-            repr(float(result.episode_return)), str(int(result.terminated_early)), str(len(result.switch_events)),
+            repr(float(result.episode_return)), str(int(result.terminated_early)), str(n_switches),
         ])
         if phase == PHASE_EVAL:
             self.eval_returns.setdefault(iteration, []).append(result.episode_return)

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .affine import AffineModel, kept_parts, reanchor
+from .affine import AffineModel, reanchor
 from .envsim import ConfigError, build_from_catalog, rk4_step
 from .l1core import L1Config, default_l1_config, l1_input
 
@@ -113,10 +113,10 @@ def run_bound_experiment(spec: SyntheticSpec, cfg: L1Config) -> ErrorTrace:
         t0 = i * ts
         u_rl = np.asarray(spec.u_star(t0), dtype=float)
         am, decision = reanchor(am, spec, x, u_rl, spec.eps_a)
-        switch_count += int(decision is not None and decision.switch)
+        switch_count += int(decision.switch)
 
         # The synthetic model predicts rates; its input gain over one sample is jac * ts.
-        parts = kept_parts(decision) or am.parts(x)
+        parts = decision.parts
         u, sigma_rate, _, _, q = l1_input(u_rl, xtilde, parts[1] * ts, q, cfg)
         sigmas[i] = sigma_rate
         u = np.clip(u, spec.input_low, spec.input_high)
@@ -127,7 +127,7 @@ def run_bound_experiment(spec: SyntheticSpec, cfg: L1Config) -> ErrorTrace:
             nonlocal stage
             xt, et = z[: spec.n], z[spec.n :]
             rate_true = spec.drift(xt, u) + spec.disturbance(t, xt, u)
-            d = rate_true - am.predict(xt, u, parts if stage == 0 else None)
+            d = rate_true - am.predict(parts if stage == 0 else am.parts(xt), u)
             if stage % 4 == 0:  # rk4_step's first stage, f(t, z) at the substep start
                 times.append(t)
                 e_norms.append(float(np.linalg.norm(d - sigma_rate)))

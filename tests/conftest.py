@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from l1aug import dynmodel, envsim
+from l1aug.affine import reanchor
 
 LINEAR_A = np.array([[0.95, 0.08], [-0.05, 0.9]]) - np.eye(2)
 LINEAR_B = np.array([[0.02], [0.11]])
@@ -47,6 +48,15 @@ def collect_random_rows(env, dist, n_rows, seed, steps_per_episode=100):
             if not env.in_state_bounds(x) or len(ds) >= n_rows:
                 break
     return ds
+
+
+def replay_switch_count(model, xs, us, eps_a):
+    """Reference count of the switching law's re-anchorings over a recorded (x_t, u_t) trajectory."""
+    am, count = None, 0
+    for x, u in zip(xs, us):
+        am, decision = reanchor(am, model, x, u, eps_a)
+        count += int(decision.switch)
+    return count
 
 
 @pytest.fixture(scope="session")

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from l1aug import mbrl
-from l1aug.affine import affinize, replay_switch_count, switching_check
+from l1aug.affine import affinize, switching_check
 from l1aug.dynmodel import TrainOptions, make_ensemble, train, unnormalize_jacobian
 from l1aug.envsim import DisturbanceSpec, make_env
 from l1aug.l1core import L1Config, default_l1_config, filter_step
 from l1aug.mbrl import LoopConfig, MpcConfig, episode_rng, run_episode, train_loop
 from l1aug.verify import default_synthetic_spec, run_bound_experiment, run_ts_grid, scalar_constant_spec
 
-from conftest import collect_random_rows
+from conftest import collect_random_rows, replay_switch_count
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -109,7 +109,7 @@ def test_criterion_6_affinization_properties(linear_ensemble):
         x, ubar = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 1)
         am = affinize(trained, ubar)
         worst_anchor = max(worst_anchor, float(np.linalg.norm(
-            am.predict(x, ubar) - trained.predict_mean(x, ubar))))
+            am.predict(am.parts(x), ubar) - trained.predict_mean(x, ubar))))
     anchor_ok = worst_anchor <= 1e-12
 
     class LinearModel:
@@ -191,6 +191,7 @@ def pendulum_rejection(pendulum_ensemble):
     mpc = MpcConfig(horizon=15, n_candidates=200)
     l1cfg = default_l1_config(env.n, env.dt, eps_a=0.3)
     dist = DisturbanceSpec(kind="constant_matched", amplitude=0.3, sigma_a=0.1)
+    switch_col = mbrl.step_columns(env.n, env.m)["switch"]
 
     def arm_cost(use_l1, seed):
         costs = []
@@ -199,7 +200,7 @@ def pendulum_rejection(pendulum_ensemble):
         for ep in range(2):
             res = run_episode(env, dist, model, mpc, l1cfg, use_l1, episode_rng(seed, 0, ep, "eval"))
             costs.append(-res.episode_return)
-            switches += len(res.switch_events)
+            switches += int(res.rows[:, switch_col].sum())
             steps += res.steps
         return float(np.mean(costs)), switches, steps
 
@@ -301,10 +302,11 @@ def test_criterion_10_switch_rate(pendulum_rejection, cartpole_loop, linear_ense
     trained, _ = train(ens, ds, TrainOptions(max_epochs=30, patience=6, seed=2))
     mpc = MpcConfig(horizon=10, n_candidates=64)
     l1cfg = default_l1_config(env.n, env.dt, eps_a=0.3)
+    switch_col = mbrl.step_columns(env.n, env.m)["switch"]
     sw, st = 0, 0
     for seed in range(3):
         res = run_episode(env, DisturbanceSpec(), trained, mpc, l1cfg, True, episode_rng(seed, 0, 0, "eval"))
-        sw += len(res.switch_events)
+        sw += int(res.rows[:, switch_col].sum())
         st += res.steps
     rates["double_integrator"] = 1000.0 * sw / max(st, 1)
 

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1aug.affine import affinize, reanchor, replay_switch_count, switching_check
+from l1aug.affine import affinize, reanchor, switching_check
+
+from conftest import replay_switch_count
 
 
 class QuadraticModel:
@@ -42,7 +44,7 @@ def test_quadratic_hand_taylor():
     f_anchor, jac = am.parts(x)
     assert (f_anchor - jac @ am.ubar)[0] == pytest.approx(-1.0, abs=1e-14)
     assert jac[0, 0] == pytest.approx(2.0, abs=1e-14)
-    assert am.predict(x, np.array([1.5]))[0] == pytest.approx(2.0, abs=1e-14)
+    assert am.predict(am.parts(x), np.array([1.5]))[0] == pytest.approx(2.0, abs=1e-14)
     # while the full model gives 2.25
     assert QuadraticModel().predict_mean(x, np.array([1.5]))[0] == pytest.approx(2.25)
 
@@ -50,7 +52,7 @@ def test_quadratic_hand_taylor():
 def test_anchor_exactness_quadratic():
     am = affinize(QuadraticModel(), np.array([0.7]))
     x = np.zeros(1)
-    diff = am.predict(x, np.array([0.7])) - QuadraticModel().predict_mean(x, np.array([0.7]))
+    diff = am.predict(am.parts(x), np.array([0.7])) - QuadraticModel().predict_mean(x, np.array([0.7]))
     assert abs(diff[0]) <= 1e-12
 
 
@@ -60,7 +62,7 @@ def test_anchor_exactness_trained_ensemble(linear_ensemble):
     for _ in range(20):
         x, ubar = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 1)
         am = affinize(trained, ubar)
-        assert np.linalg.norm(am.predict(x, ubar) - trained.predict_mean(x, ubar)) <= 1e-12
+        assert np.linalg.norm(am.predict(am.parts(x), ubar) - trained.predict_mean(x, ubar)) <= 1e-12
 
 
 def test_linear_model_is_its_own_expansion(linear_model):
@@ -69,7 +71,7 @@ def test_linear_model_is_its_own_expansion(linear_model):
     for _ in range(50):
         x, u = rng.normal(size=3), rng.normal(size=2)
         f_anchor, jac = am.parts(x)
-        assert np.allclose(am.predict(x, u), linear_model.predict_mean(x, u), atol=1e-10)
+        assert np.allclose(am.predict(am.parts(x), u), linear_model.predict_mean(x, u), atol=1e-10)
         assert np.allclose(jac, linear_model.b, atol=1e-14)
         assert np.allclose(f_anchor - jac @ am.ubar, linear_model.a @ x, atol=1e-10)
 
@@ -113,7 +115,7 @@ def test_forced_per_step_reanchoring_recovers_full_model(linear_ensemble):
     for _ in range(50):
         u = rng.uniform(-2, 2, 1)
         am = affinize(trained, u)
-        assert np.linalg.norm(am.predict(x, u) - trained.predict_mean(x, u)) <= 1e-12
+        assert np.linalg.norm(am.predict(am.parts(x), u) - trained.predict_mean(x, u)) <= 1e-12
         x = x + trained.predict_mean(x, u)
         x = np.clip(x, -2.0, 2.0)
 
@@ -131,7 +133,7 @@ def test_reanchor_anchors_silently_then_switches_at_eps():
     # Around ubar = 1 the quadratic's residual at u is (u - 1)^2.
     model, x = QuadraticModel(), np.zeros(1)
     am, decision = reanchor(None, model, x, np.array([1.0]), eps_a=0.25)
-    assert decision is None
+    assert not decision.switch and decision.residual == 0.0
     assert np.array_equal(am.ubar, [1.0])
     kept, decision = reanchor(am, model, x, np.array([1.4]), eps_a=0.25)
     assert kept is am

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import pytest
 import yaml
+from click.testing import CliRunner
 
 import l1aug
+from l1aug import cli
 from l1aug.cli import CompareConfig, RunConfig, VerifyConfig, _from_dict, load_config, resolve_config
 from l1aug.envsim import ConfigError, DisturbanceSpec
 from l1aug.mbrl import EPISODE_COLUMNS, trace_columns
@@ -155,7 +158,7 @@ VERIFY_KEYS = {
 }
 COMPARE_KEYS = dict(
     {k: v for k, v in RUN_KEYS.items() if k != "disturbance"},
-    **{"": {"name", "env", "scenarios", "model", "mpc", "l1", "loop", "sim_to_real", "eval_episodes", "seeds", "out",
+    **{"": {"name", "env", "scenarios", "model", "mpc", "l1", "loop", "sim_to_real", "seeds", "out",
             "report_window"}},
 )
 
@@ -184,6 +187,44 @@ def test_cli_run_outputs_and_determinism(tiny_run_cfg, tmp_path):
     assert proc.returncode == 0
     for name, blob in first.items():
         assert (out / name).read_bytes() == blob
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("run", ("trace.csv", "episodes.csv", "learning_curve.csv")),
+    ("compare", ("comparison.csv",)),
+], ids=["run", "compare"])
+def test_cli_jobs_two_writes_the_same_bytes_as_jobs_one(tiny_run_cfg, tmp_path, command, outputs):
+    blobs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        proc = run_cli([command, str(tiny_run_cfg), "--out", str(out), "-s", "0", "-s", "1", "--jobs", str(jobs)],
+                       cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        blobs.append({name: (out / name).read_bytes() for name in outputs})
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_run_flushes_earlier_seeds_when_a_seed_raises(tiny_run_cfg, tmp_path, monkeypatch, jobs):
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("worker processes inherit the patched train_loop only when forked")
+    clean = tmp_path / "clean"
+    assert run_cli(["run", str(tiny_run_cfg), "--out", str(clean), "-s", "0"], cwd=tmp_path).returncode == 0
+    real_train_loop = cli.train_loop
+
+    def train_loop(*args, seed, **kwargs):
+        if seed == 1:
+            raise RuntimeError("seed 1 fails")
+        return real_train_loop(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "train_loop", train_loop)
+    out = tmp_path / "partial"
+    result = CliRunner().invoke(cli.main, ["run", str(tiny_run_cfg), "--out", str(out), "-s", "0", "-s", "1",
+                                           "--jobs", str(jobs)])
+    assert result.exit_code == 3
+    assert "partial outputs flushed" in result.output
+    for name in ("trace.csv", "episodes.csv", "learning_curve.csv"):
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
 
 
 def test_cli_seed_isolation_across_out_dirs(tiny_run_cfg, tmp_path):
@@ -344,9 +385,8 @@ def test_cli_compare_sim_to_real_mode(tmp_path):
         "scenarios": [{"kind": "action_noise", "sigma_a": 0.1}],
         "model": {"members": 2, "hidden": [16, 16], "max_epochs": 8, "min_rows": 32},
         "mpc": {"horizon": 4, "n_candidates": 16},
-        "loop": {"iterations": 1, "episodes_per_iteration": 3, "eval_episodes": 1},
+        "loop": {"iterations": 1, "episodes_per_iteration": 3, "eval_episodes": 2},
         "sim_to_real": True,
-        "eval_episodes": 2,
         "seeds": [0, 1],
         "out": str(tmp_path / "s2r_out"),
     })

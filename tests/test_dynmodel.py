@@ -36,7 +36,7 @@ def test_normalizer_round_trip(y):
     )
     assert np.allclose(norm.norm_out(norm.denorm_out(y)), y, atol=1e-12, rtol=1e-12)
     assert np.allclose(norm.denorm_out(norm.norm_out(y)), y, atol=1e-12, rtol=1e-12)
-    assert np.allclose(norm.norm_in(norm.denorm_in(y)), y, atol=1e-12, rtol=1e-12)
+    assert np.allclose(norm.norm_in(y * norm.sd_in + norm.mu_in), y, atol=1e-12, rtol=1e-12)
 
 
 def test_normalizer_sd_floor():

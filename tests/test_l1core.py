@@ -232,7 +232,7 @@ def test_predictor_follows_model_at_zero_error():
     x = np.array([0.4])
     l1 = L1State.initial(x, 1)
     u_rl = np.array([0.8])
-    u, nxt = l1_control(u_rl, x, am, l1, cfg)
+    u, nxt = l1_control(u_rl, x, am, am.parts(x), l1, cfg)
     assert np.array_equal(u, u_rl)
     assert nxt.xhat[0] == pytest.approx(x[0] + u_rl[0] * ts, abs=1e-15)
     assert nxt.xtilde[0] == 0.0
@@ -249,7 +249,7 @@ def test_predictor_one_step_arithmetic():
         xhat=np.array([0.01]), sigma_rate=np.zeros(1), sigma_m=np.zeros(1),
         sigma_um=np.zeros(0), q=np.zeros(1), xtilde=np.zeros(1),
     )
-    u, nxt = l1_control(np.zeros(1), np.zeros(1), am, l1, cfg)
+    u, nxt = l1_control(np.zeros(1), np.zeros(1), am, am.parts(np.zeros(1)), l1, cfg)
     decay = math.exp(-ts)
     sigma = -decay / (1.0 - decay) * 0.01
     u_a = -0.35 * sigma  # omega * ts = 0.35; the gain ts cancels in sigma_m
@@ -266,7 +266,7 @@ def test_l1_control_first_step_is_transparent():
     x0 = np.array([0.3])
     l1 = L1State.initial(x0, 1)
     u_rl = np.array([0.7])
-    u, l1 = l1_control(u_rl, x0, am, l1, cfg)
+    u, l1 = l1_control(u_rl, x0, am, am.parts(x0), l1, cfg)
     assert np.array_equal(u, u_rl)
 
 
@@ -280,7 +280,7 @@ def test_l1_control_transparent_under_perfect_model():
     l1 = L1State.initial(x, 1)
     for _ in range(200):
         u_rl = rng.uniform(-1, 1, 1)
-        u, l1 = l1_control(u_rl, x, am, l1, cfg)
+        u, l1 = l1_control(u_rl, x, am, am.parts(x), l1, cfg)
         assert abs(u[0] - u_rl[0]) <= 1e-9
         assert abs(l1.xtilde[0]) <= 1e-9
         x = x + u * ts
@@ -296,7 +296,7 @@ def test_l1_control_rejects_constant_disturbance():
     l1 = L1State.initial(x, 1)
     u = np.zeros(1)
     for _ in range(50):
-        u, l1 = l1_control(np.zeros(1), x, am, l1, cfg)
+        u, l1 = l1_control(np.zeros(1), x, am, am.parts(x), l1, cfg)
         x = x + (u + d) * ts
     u_a = u[0]
     assert -0.5 <= u_a <= -0.45  # rejects at least 90 percent of d

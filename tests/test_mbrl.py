@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from l1aug import envsim
-from l1aug.affine import replay_switch_count
 from l1aug.dynmodel import Normalizer, TrainOptions, make_ensemble
 from l1aug.envsim import DisturbanceSpec, make_env
 from l1aug.l1core import default_l1_config
@@ -21,6 +20,8 @@ from l1aug.mbrl import (
     trace_columns,
     train_loop,
 )
+
+from conftest import replay_switch_count
 
 
 class UnitIncrementModel:
@@ -286,6 +287,45 @@ def test_run_episode_terminates_on_leaving_state_box():
     assert result.episode_return == pytest.approx(sum(result.rows[:, step_columns(env.n, env.m)["reward"]]))
 
 
+class SquareModel:
+    """Prediction u^2: the expansion misses (u - ubar)^2, so any new input re-anchors."""
+
+    def predict_mean(self, x, u):
+        return np.asarray(u, dtype=float) ** 2
+
+    def jacobian_u(self, x, u):
+        return np.array([[2.0 * u[0]]])
+
+
+def test_divergence_keeps_partial_rows_and_counts_only_their_switches(tmp_path):
+    # x rises at unit rate and the drift turns NaN past 0.33: step t = 3
+    # (x = 0.3 -> 0.4) diverges after its switch, and its row is dropped.
+    env = envsim.EnvSpec(
+        name="diverging", n=1, m=1, dt=0.1, horizon=10,
+        drift=lambda x, u: np.ones(1) if x[0] < 0.33 else np.full(1, np.nan),
+        input_matrix=lambda x: np.array([[1.0]]),
+        x0_sampler=lambda rng: np.zeros(1),
+        state_low=np.array([-10.0]), state_high=np.array([10.0]),
+        input_low=np.array([-1.0]), input_high=np.array([1.0]),
+        reward=lambda x, u: -(x**2).sum(axis=-1),
+    )
+    l1cfg = default_l1_config(1, env.dt, eps_a=1e-9)
+    result = run_episode(env, DisturbanceSpec(), SquareModel(), MpcConfig(horizon=2, n_candidates=4), l1cfg,
+                         True, episode_rng(0, 0, 0, "eval"))
+    assert result.terminated_early
+    assert result.steps == 3
+    record = RunRecord(n=env.n, m=env.m)
+    record.add_episode("eval", 0, 0, 0, result)
+    record.write_trace_csv(tmp_path / "trace.csv")
+    record.write_episodes_csv(tmp_path / "episodes.csv")
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        trace = list(csv.DictReader(fh))
+    with open(tmp_path / "episodes.csv", newline="") as fh:
+        (episode,) = list(csv.DictReader(fh))
+    assert [row["switch"] for row in trace] == ["0", "1", "1"]
+    assert int(episode["n_switches"]) == 2
+
+
 def test_transparency_pairing_exact_model():
     # Exact discrete model of the double integrator: the augmented run matches
     # the baseline run to tight tolerance everywhere.
@@ -325,12 +365,10 @@ def test_anchor_validity_invariant(pendulum_ensemble):
     l1cfg = default_l1_config(env.n, env.dt, eps_a=2e-4)
     result = run_episode(env, DisturbanceSpec(kind="constant_matched", amplitude=0.3),
                          model, mpc, l1cfg, True, episode_rng(0, 0, 0, "eval"))
-    assert result.switch_events
-    switch_steps = {e.t for e in result.switch_events}
     c = step_columns(env.n, env.m)
+    assert result.rows[:, c["switch"]].any()
     for row in result.rows:
         if row[c["switch"]]:
-            assert row[c["t"]] in switch_steps
             assert row[c["switch_residual"]] >= l1cfg.eps_a
         elif not np.isnan(row[c["switch_residual"]]) and row[c["t"]] > 0:
             assert row[c["switch_residual"]] < l1cfg.eps_a
@@ -343,10 +381,11 @@ def test_replay_counts_the_switches_of_run_episode(pendulum_ensemble):
     l1cfg = default_l1_config(env.n, env.dt, eps_a=2e-4)
     result = run_episode(env, DisturbanceSpec(kind="constant_matched", amplitude=0.3),
                          model, mpc, l1cfg, True, episode_rng(0, 0, 0, "eval"))
-    assert len(result.switch_events) >= 10
     c = step_columns(env.n, env.m)
+    n_switches = int(result.rows[:, c["switch"]].sum())
+    assert n_switches >= 10
     xs, us = result.rows[:, c["x"]], result.rows[:, c["u_rl"]]
-    assert replay_switch_count(model, xs, us, l1cfg.eps_a) == len(result.switch_events)
+    assert replay_switch_count(model, xs, us, l1cfg.eps_a) == n_switches
 
 
 def test_horizon_zero_like_empty_dataset():

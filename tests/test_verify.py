@@ -59,11 +59,11 @@ def reference_bound_experiment(spec, cfg):
         def joint_field(t, z, anchor=am, u=u, sigma_rate=sigma_rate):
             xt, et = z[: spec.n], z[spec.n :]
             rate_true = spec.drift(xt, u) + spec.disturbance(t, xt, u)
-            d = rate_true - anchor.predict(xt, u)
+            d = rate_true - anchor.predict(anchor.parts(xt), u)
             return np.concatenate([rate_true, cfg.as_diag * et + sigma_rate - d])
 
         def record(t, xt, anchor=am, u=u, sigma_rate=sigma_rate):
-            d = spec.drift(xt, u) + spec.disturbance(t, xt, u) - anchor.predict(xt, u)
+            d = spec.drift(xt, u) + spec.disturbance(t, xt, u) - anchor.predict(anchor.parts(xt), u)
             times.append(t)
             e_norms.append(float(np.linalg.norm(d - sigma_rate)))
 
