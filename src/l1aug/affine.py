@@ -64,7 +64,7 @@ def switching_check(am: AffineModel, x: Array, u: Array, eps_a: float) -> Switch
     Returns switch=True when the Euclidean residual reaches eps_a
     (inclusive). Never mutates the model; the caller re-anchors.
     """
-    if eps_a <= 0:
+    if not eps_a > 0:
         raise ValueError("switching_check: eps_a must be positive")
     parts = am.parts(x)
     residual = float(np.linalg.norm(am.predict(parts, u) - am.model.predict_mean(x, u)))

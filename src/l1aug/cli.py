@@ -351,11 +351,8 @@ def cmd_verify(config_path, out_override):
             cfg.out = f"runs/{cfg.name}"
         if out_override:
             cfg.out = out_override
-        params = dict(cfg.synthetic.params)
-        if "ts_grid" in params:
-            params["ts_grid"] = tuple(params["ts_grid"])
         with _config_section(f"{config_path}.synthetic"):
-            spec = make_synthetic_spec(cfg.synthetic.preset, **params)
+            spec = make_synthetic_spec(cfg.synthetic.preset, **cfg.synthetic.params)
         with _config_section(config_path):
             grid_l1_configs(spec, cfg.as_value, cfg.omega_factor)
             if cfg.assumption_samples < 1 or cfg.assumption_seed < 0:

@@ -56,7 +56,7 @@ class EnvSpec:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ConfigError(f"env {self.name}: need n >= 1 and m >= 1")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ConfigError(f"env {self.name}: dt must be positive")
         if isinstance(self.horizon, bool) or not isinstance(self.horizon, int) or self.horizon < 1:
             raise ConfigError(f"env {self.name}: horizon must be an integer >= 1, got {self.horizon!r}")
@@ -102,7 +102,9 @@ class DisturbanceSpec:
     def __post_init__(self):
         if self.kind not in DISTURBANCE_KINDS:
             raise ConfigError(f"unknown disturbance kind {self.kind!r}; expected one of {DISTURBANCE_KINDS}")
-        if self.amplitude < 0 or self.sigma_a < 0 or self.sigma_o < 0:
+        if not all(map(math.isfinite, (self.amplitude, self.frequency, self.sigma_a, self.sigma_o))):
+            raise ConfigError("disturbance amplitude, frequency and sigmas must be finite")
+        if min(self.amplitude, self.sigma_a, self.sigma_o) < 0:
             raise ConfigError("disturbance amplitudes must be nonnegative")
         if self.kind in ("action_noise", "obs_noise") and self.amplitude != 0.0:
             raise ConfigError(f"kind {self.kind!r} takes its size from sigma, not amplitude")

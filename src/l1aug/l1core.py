@@ -46,25 +46,14 @@ class L1Config:
 
     def __post_init__(self):
         object.__setattr__(self, "as_diag", np.atleast_1d(np.asarray(self.as_diag, dtype=float)))
-        if self.ts <= 0:
+        if not self.ts > 0:
             raise ValueError("L1Config: ts must be positive")
         if np.any(self.as_diag >= 0) or not np.all(np.isfinite(self.as_diag)):
             raise ValueError("L1Config: every diagonal entry of As must be strictly negative")
         if not (0.0 < self.omega * self.ts < 2.0):
             raise ValueError(f"L1Config: omega*ts = {self.omega * self.ts:g} outside (0, 2)")
-        if self.eps_a <= 0:
+        if not self.eps_a > 0:
             raise ValueError("L1Config: eps_a must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.as_diag.shape[0]
-
-    def exp_as_ts(self) -> Array:
-        return np.exp(self.as_diag * self.ts)
-
-    def phi(self) -> Array:
-        """Interval response (exp(lambda ts) - 1) / lambda, componentwise."""
-        return (self.exp_as_ts() - 1.0) / self.as_diag
 
 
 def default_l1_config(n: int, ts: float, eps_a: float, as_value: float = -1.0, omega_factor: float = 0.35) -> L1Config:
@@ -109,33 +98,30 @@ def adapt(xtilde: Array, cfg: L1Config) -> Array:
     output in state-units per second.
     """
     xtilde = np.asarray(xtilde, dtype=float)
-    return -(cfg.exp_as_ts() / cfg.phi()) * xtilde
+    decay = np.exp(cfg.as_diag * cfg.ts)
+    return -(decay / ((decay - 1.0) / cfg.as_diag)) * xtilde
 
 
 def orthonormal_complement(h: Array) -> Array:
-    """Orthonormal basis of the orthogonal complement of range(h), (n, n-m)."""
-    n, m = h.shape
-    if m >= n:
-        return np.zeros((n, 0))
+    """Orthonormal basis of the orthogonal complement of range(h), (n, max(n-m, 0))."""
     q_full, _ = np.linalg.qr(h, mode="complete")
-    return q_full[:, m:]
+    return q_full[:, h.shape[1]:]
 
 
 def decompose(h: Array, sigma_rate: Array, ts: float) -> tuple[Array, Array]:
     """Split the per-step uncertainty increment along and across the input channel.
 
     Solves sigma_rate * ts = h sigma_m + h_perp sigma_um with h_perp an
-    orthonormal complement basis, so sigma_m is in input units. Near
-    rank-deficient h falls back to a pseudo-inverse with a logged warning.
+    orthonormal complement basis, so sigma_m is in input units. sigma_m is
+    the minimum-norm least-squares solve, which drops singular values below
+    ``RANK_TOL`` times the largest; a smallest singular value below
+    ``RANK_TOL`` is logged as a rank fallback (one WARNING per call).
     """
     h = np.asarray(h, dtype=float)
     increment = np.asarray(sigma_rate, dtype=float) * ts
-    smallest_sv = np.linalg.svd(h, compute_uv=False).min() if h.size else 0.0
-    if smallest_sv < RANK_TOL:
-        log.warning("decompose: input channel near rank-deficient (smallest sv %.3e), using pseudo-inverse", smallest_sv)
-        sigma_m = np.linalg.pinv(h, rcond=RANK_TOL) @ increment
-    else:
-        sigma_m, *_ = np.linalg.lstsq(h, increment, rcond=None)
+    sigma_m, _, _, sv = np.linalg.lstsq(h, increment, rcond=RANK_TOL)
+    if sv.min() < RANK_TOL:
+        log.warning("decompose: input channel near rank-deficient (smallest sv %.3e)", sv.min())
     h_perp = orthonormal_complement(h)
     sigma_um = h_perp.T @ increment
     return sigma_m, sigma_um

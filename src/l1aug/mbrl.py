@@ -167,7 +167,6 @@ def run_episode(
     l1cfg: L1Config,
     use_l1: bool,
     rng: np.random.Generator,
-    x0: Array | None = None,
 ) -> EpisodeResult:
     """Roll one episode, re-anchoring the affine model per the switching law.
 
@@ -177,7 +176,7 @@ def run_episode(
     controller and the recorded rows see observations; the integrator sees the
     true state. Divergence ends the episode with partial data retained.
     """
-    x_true = env.x0_sampler(rng) if x0 is None else np.asarray(x0, dtype=float)
+    x_true = env.x0_sampler(rng)
     x_obs = x_true
     l1 = L1State.initial(x_obs, env.m)
     am: AffineModel | None = None

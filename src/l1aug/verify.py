@@ -56,9 +56,9 @@ class SyntheticSpec:
     substeps: int = 8
 
     def __post_init__(self):
-        if self.eps_l < 0 or self.eps_a <= 0:
+        if not (self.eps_l >= 0 and self.eps_a > 0):
             raise ConfigError("SyntheticSpec: need eps_l >= 0 and eps_a > 0")
-        if self.t_max <= 0 or not self.ts_grid:
+        if not self.t_max > 0 or not self.ts_grid:
             raise ConfigError("SyntheticSpec: need t_max > 0 and a nonempty ts_grid")
 
     def predict_mean(self, x: Array, u: Array) -> Array:
@@ -314,7 +314,7 @@ def default_synthetic_spec(
         x0=np.array([0.3, 0.0]), u_star=u_star,
         state_low=np.array([-4.0, -4.0]), state_high=np.array([4.0, 4.0]),
         input_low=np.array([-2.0]), input_high=np.array([2.0]),
-        t_max=t_max, ts_grid=ts_grid,
+        t_max=t_max, ts_grid=tuple(ts_grid),
     )
 
 

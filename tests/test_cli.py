@@ -15,6 +15,7 @@ from l1aug import cli
 from l1aug.cli import CompareConfig, RunConfig, VerifyConfig, _from_dict, load_config, resolve_config
 from l1aug.envsim import ConfigError, DisturbanceSpec
 from l1aug.mbrl import EPISODE_COLUMNS, trace_columns
+from l1aug.verify import grid_l1_configs, make_synthetic_spec
 
 
 # The directory this test run imported l1aug from. A relative PYTHONPATH entry
@@ -115,6 +116,11 @@ def test_cli_run_invalid_config_exits_1(tmp_path):
     ("run", {"seeds": [-1]}),
     ("compare", {"seeds": [0, -3]}),
     ("verify", {"assumption_seed": -1}),
+    ("run", {"disturbance": {"amplitude": float("nan")}}),
+    ("run", {"disturbance": {"sigma_a": float("inf")}}),
+    ("run", {"l1": {"eps_a": float("nan")}}),
+    ("verify", {"synthetic": {"params": {"eps_a": float("nan")}}}),
+    ("verify", {"synthetic": {"params": {"ts_grid": 0.01}}}),
 ])
 def test_cli_invalid_value_is_config_error(tmp_path, command, data):
     path = write_yaml(tmp_path / "bad.yaml", dict(data, out=str(tmp_path / "out")))
@@ -123,6 +129,22 @@ def test_cli_invalid_value_is_config_error(tmp_path, command, data):
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+COMMITTED_CONFIGS = sorted((Path(L1AUG_ROOT).parent / "configs").glob("*.yaml")) + sorted(
+    (Path(L1AUG_ROOT).parent / "bench" / "configs").glob("*.yaml"))
+
+
+def test_committed_configs_load_unchanged():
+    """Every YAML config in the repo loads and builds as its kind: ``verify*``, ``compare*`` or a run."""
+    assert len(COMMITTED_CONFIGS) >= 5
+    for path in COMMITTED_CONFIGS:
+        if path.stem.startswith("verify"):
+            cfg = load_config(VerifyConfig, path)
+            spec = make_synthetic_spec(cfg.synthetic.preset, **cfg.synthetic.params)
+            assert len(grid_l1_configs(spec, cfg.as_value, cfg.omega_factor)) == len(spec.ts_grid)
+        else:
+            resolve_config(load_config(CompareConfig if path.stem.startswith("compare") else RunConfig, path))
 
 
 @pytest.mark.parametrize("hidden", [[True, 16], [16, 8.0], [16, False]])

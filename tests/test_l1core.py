@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -144,13 +145,60 @@ def test_decompose_square_channel_has_empty_complement():
     assert sigma_um.shape == (0,)
 
 
-def test_decompose_rank_deficient_warns(caplog):
-    import logging
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 3), (3, 5)])
+def test_complement_of_a_spanning_channel_is_empty(shape):
+    h = np.random.default_rng(0).normal(size=shape)
+    assert orthonormal_complement(h).shape == (shape[0], 0)
 
+
+def test_decompose_rank_deficient_warns(caplog):
     with caplog.at_level(logging.WARNING, logger="l1aug.l1core"):
         sigma_m, sigma_um = decompose(np.zeros((2, 1)), np.array([1.0, 1.0]), ts=1.0)
     assert "rank" in caplog.text
     assert np.all(np.isfinite(sigma_m))
+
+
+def svd_pinv_decompose(h, sigma_rate, ts, rank_tol=1e-8):
+    """Reference: the SVD rank test, then lstsq or a pseudo-inverse, then the complete-QR complement."""
+    increment = sigma_rate * ts
+    if np.linalg.svd(h, compute_uv=False).min() < rank_tol:
+        sigma_m = np.linalg.pinv(h, rcond=rank_tol) @ increment
+    else:
+        sigma_m, *_ = np.linalg.lstsq(h, increment, rcond=None)
+    n, m = h.shape
+    h_perp = np.zeros((n, 0)) if m >= n else np.linalg.qr(h, mode="complete")[0][:, m:]
+    return sigma_m, h_perp.T @ increment
+
+
+def test_decompose_matches_svd_reference_bit_for_bit_on_full_rank_channels(caplog):
+    rng = np.random.default_rng(12)
+    with caplog.at_level(logging.WARNING, logger="l1aug.l1core"):
+        for n in range(1, 6):
+            for m in range(1, n + 1):
+                for scale in (1e-6, 1e-3, 1.0, 1e3):
+                    for _ in range(20):
+                        h = scale * rng.normal(size=(n, m))
+                        if np.linalg.svd(h, compute_uv=False).min() < 1e-8:
+                            continue  # the reference's pseudo-inverse path; see the rank-deficient test
+                        sigma_rate = rng.normal(size=n)
+                        got = decompose(h, sigma_rate, 0.05)
+                        want = svd_pinv_decompose(h, sigma_rate, 0.05)
+                        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("h", [
+    np.array([[1.0, 0.0], [2.0, 0.0], [-0.5, 0.0]]),
+    np.array([[0.3, 0.3], [-1.2, -1.2], [0.7, 0.7], [2.0, 2.0]]),
+], ids=["zero_column", "duplicated_columns"])
+def test_decompose_rank_deficient_matches_pseudo_inverse_and_logs_once(h, caplog):
+    sigma_rate = np.random.default_rng(3).normal(size=h.shape[0])
+    with caplog.at_level(logging.WARNING, logger="l1aug.l1core"):
+        sigma_m, sigma_um = decompose(h, sigma_rate, 0.1)
+    want_m, want_um = svd_pinv_decompose(h, sigma_rate, 0.1)
+    assert np.allclose(sigma_m, want_m, rtol=1e-9, atol=1e-12)
+    assert np.array_equal(sigma_um, want_um)
+    assert [r.levelno for r in caplog.records if r.name == "l1aug.l1core"] == [logging.WARNING]
 
 
 @settings(max_examples=50, deadline=None)
