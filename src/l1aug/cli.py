@@ -93,16 +93,22 @@ class L1Section:
 
 
 @dataclass
-class RunConfig:
+class ExperimentConfig:
+    """The sections a run and a compare config share."""
+
     name: str = "run"
     env: EnvSection = field(default_factory=EnvSection)
-    disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
     model: ModelSection = field(default_factory=ModelSection)
     mpc: MpcConfig = field(default_factory=MpcConfig)
     l1: L1Section = field(default_factory=L1Section)
     loop: LoopConfig = field(default_factory=LoopConfig)
     seeds: list[int] = field(default_factory=lambda: [0])
     out: str | None = None
+
+
+@dataclass
+class RunConfig(ExperimentConfig):
+    disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
     ablation_grid: bool = False
 
 
@@ -124,17 +130,10 @@ class VerifyConfig:
 
 
 @dataclass
-class CompareConfig:
+class CompareConfig(ExperimentConfig):
     name: str = "compare"
-    env: EnvSection = field(default_factory=EnvSection)
     scenarios: list[DisturbanceSpec] = field(default_factory=lambda: [DisturbanceSpec()])
-    model: ModelSection = field(default_factory=ModelSection)
-    mpc: MpcConfig = field(default_factory=MpcConfig)
-    l1: L1Section = field(default_factory=L1Section)
-    loop: LoopConfig = field(default_factory=LoopConfig)
     sim_to_real: bool = False
-    seeds: list[int] = field(default_factory=lambda: [0])
-    out: str | None = None
     report_window: int = 5
 
 
@@ -164,7 +163,7 @@ def _from_dict(cls, data, path="config"):
 
 
 def _load_value(hint, value, path):
-    """One config value checked against its type hint: a section, a list of hinted items, a flag or an integer."""
+    """One config value checked against its type hint: a section, a list of hinted items, a flag or a number."""
     if dataclasses.is_dataclass(hint):
         return _from_dict(hint, value, path)
     if typing.get_origin(hint) is list:
@@ -176,6 +175,9 @@ def _load_value(hint, value, path):
         raise ConfigError(f"{path}: expected true or false, got {value!r}")
     if hint is int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    number = hint is float or (hint == float | None and value is not None)
+    if number and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
     return value
 
 
@@ -190,7 +192,7 @@ def load_config(cls, path: str | Path):
     return _from_dict(cls, raw, path=str(path))
 
 
-def _build_pieces(cfg: RunConfig | CompareConfig):
+def _build_pieces(cfg: ExperimentConfig):
     """The env, L1Config and TrainOptions a loaded run or compare config describes."""
     with _config_section("env"):
         env = make_env(cfg.env.name, cfg.env.overrides)
@@ -209,7 +211,7 @@ def _build_pieces(cfg: RunConfig | CompareConfig):
     return env, l1cfg, opts
 
 
-def resolve_config(cfg, seed_override: tuple[int, ...] = (), out_override: str | None = None):
+def resolve_config(cfg: ExperimentConfig, seed_override: tuple[int, ...] = (), out_override: str | None = None):
     """Fill in the eps_a, out and seed defaults of a run or compare config; check it builds."""
     if cfg.l1.eps_a is None:
         cfg.l1.eps_a = EPS_A_DEFAULTS.get(cfg.env.name, 0.3)
@@ -271,15 +273,12 @@ def _run_one_seed(cfg: RunConfig, seed: int) -> RunRecord:
 def _emit_run_outputs(directory: Path, cfg: RunConfig, records: list[tuple[int, RunRecord]]) -> None:
     if not records:
         return
-    n, m = records[0][1].n, records[0][1].m
-    merged = RunRecord(n=n, m=m)
+    merged = RunRecord(n=records[0][1].n, m=records[0][1].m)
     curve_rows = []
     for seed, record in records:
-        merged.trace.extend(record.trace)
         merged.episodes.extend(record.episodes)
         merged.iteration_losses.extend(dict(row, seed=seed) for row in record.iteration_losses)
-        for iteration in sorted(record.eval_returns):
-            returns = record.eval_returns[iteration]
+        for iteration, returns in record.eval_returns.items():
             curve_rows.append([iteration, seed, float(np.mean(returns)), float(np.std(returns))])
     merged.write_trace_csv(directory / "trace.csv")
     merged.write_episodes_csv(directory / "episodes.csv")
@@ -391,7 +390,7 @@ def cmd_verify(config_path, out_override):
 
 
 def _final_window_mean(record: RunRecord, window: int) -> float:
-    ordered = [r for it in sorted(record.eval_returns) for r in record.eval_returns[it]]
+    ordered = [r for returns in record.eval_returns.values() for r in returns]
     tail = ordered[-window:] if window > 0 else ordered
     return float(np.mean(tail))
 

@@ -206,7 +206,7 @@ def make_ensemble(
 
 
 class TransitionDataset:
-    """Append-only store of (x, u_logged, x_next) rows.
+    """Append-only store of ``[x | u_logged | x_next]`` rows, each its own copy.
 
     Rows containing non-finite entries are rejected at insertion and counted
     in ``n_rejected``. Targets are the increments x_next - x.
@@ -215,30 +215,28 @@ class TransitionDataset:
     def __init__(self, n: int, m: int):
         self.n = n
         self.m = m
-        self._x: list[Array] = []
-        self._u: list[Array] = []
-        self._xn: list[Array] = []
+        self._rows: list[Array] = []
         self.n_rejected = 0
 
     def __len__(self) -> int:
-        return len(self._x)
+        return len(self._rows)
 
     def append(self, x: Array, u: Array, x_next: Array) -> bool:
         x, u, x_next = (np.asarray(a, dtype=float) for a in (x, u, x_next))
         if x.shape != (self.n,) or u.shape != (self.m,) or x_next.shape != (self.n,):
             raise ValueError("dataset row has wrong dimensions")
-        if not np.isfinite(np.concatenate([x, u, x_next])).all():
+        row = np.concatenate([x, u, x_next])
+        if not np.isfinite(row).all():
             self.n_rejected += 1
             return False
-        self._x.append(x)
-        self._u.append(u)
-        self._xn.append(x_next)
+        self._rows.append(row)
         return True
 
     def as_arrays(self) -> tuple[Array, Array, Array]:
-        if not self._x:
-            return np.zeros((0, self.n)), np.zeros((0, self.m)), np.zeros((0, self.n))
-        return np.stack(self._x), np.stack(self._u), np.stack(self._xn)
+        """The stored rows as (x, u_logged, x_next) column blocks of one stacked array."""
+        n, m = self.n, self.m
+        rows = np.stack(self._rows) if self._rows else np.zeros((0, 2 * n + m))
+        return rows[:, :n], rows[:, n:n + m], rows[:, n + m:]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
-from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -116,12 +115,8 @@ def _step_fields(n: int, m: int) -> tuple[tuple[str, int | None], ...]:
             ("reward", None), ("switch", None), ("switch_residual", None), ("anchor_norm", None))
 
 
-@cache
 def step_columns(n: int, m: int) -> dict[str, int | slice]:
-    """Where each field sits in a row of ``EpisodeResult.rows``: an index for a scalar, a slice for a vector.
-
-    Cached per (n, m); callers share the returned dict and must not mutate it.
-    """
+    """Where each field sits in a row of ``EpisodeResult.rows``: an index for a scalar, a slice for a vector."""
     cols, start = {}, 0
     for name, width in _step_fields(n, m):
         cols[name] = start if width is None else slice(start, start + width)
@@ -237,29 +232,29 @@ EPISODE_COLUMNS = ["phase", "iteration", "episode", "seed", "steps", "episode_re
 class RunRecord:
     """Everything a run produced, in insertion order, ready for CSV emission.
 
-    ``trace`` holds one ``(phase, iteration, episode, seed, rows)`` entry per
-    episode; its rows are formatted only when the trace is written.
+    ``episodes`` holds one ``(phase, iteration, episode, seed, result)`` entry
+    per episode; both CSV files and the evaluation returns derive from it.
     ``dataset`` points at the accumulated training data (not serialized; used
     by audits that cross-check the logged inputs against the trace).
     """
 
     n: int
     m: int
-    trace: list[tuple[str, int, int, int, Array]] = field(default_factory=list)
-    episodes: list[list[str]] = field(default_factory=list)
+    episodes: list[tuple[str, int, int, int, EpisodeResult]] = field(default_factory=list)
     iteration_losses: list[dict] = field(default_factory=list)
-    eval_returns: dict[int, list[float]] = field(default_factory=dict)
     dataset: TransitionDataset | None = None
 
     def add_episode(self, phase: str, iteration: int, episode: int, seed: int, result: EpisodeResult) -> None:
-        self.trace.append((phase, iteration, episode, seed, result.rows))
-        n_switches = np.count_nonzero(result.rows[:, step_columns(self.n, self.m)["switch"]])
-        self.episodes.append([
-            phase, str(iteration), str(episode), str(seed), str(result.steps),
-            repr(float(result.episode_return)), str(int(result.terminated_early)), str(n_switches),
-        ])
-        if phase == PHASE_EVAL:
-            self.eval_returns.setdefault(iteration, []).append(result.episode_return)
+        self.episodes.append((phase, iteration, episode, seed, result))
+
+    @property
+    def eval_returns(self) -> dict[int, list[float]]:
+        """Evaluation returns per iteration, in episode order."""
+        returns: dict[int, list[float]] = {}
+        for phase, iteration, _, _, result in self.episodes:
+            if phase == PHASE_EVAL:
+                returns.setdefault(iteration, []).append(result.episode_return)
+        return returns
 
     def write_trace_csv(self, path: str | Path) -> None:
         """Full round-trip floats, integers for ``t`` and ``switch``, and an empty cell for NaN."""
@@ -267,19 +262,23 @@ class RunRecord:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(trace_columns(self.n, self.m))
-            for phase, iteration, episode, seed, rows in self.trace:
+            for phase, iteration, episode, seed, result in self.episodes:
                 head = [phase, str(iteration), str(episode), str(seed)]
-                for row in rows.tolist():
+                for row in result.rows.tolist():
                     cells = ["" if v != v else repr(v) for v in row]
                     cells[c["t"]] = str(int(row[c["t"]]))
                     cells[c["switch"]] = str(int(row[c["switch"]]))
                     writer.writerow(head + cells)
 
     def write_episodes_csv(self, path: str | Path) -> None:
+        """One row per episode; ``n_switches`` counts the nonzero cells of its ``switch`` column."""
+        switch = step_columns(self.n, self.m)["switch"]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(EPISODE_COLUMNS)
-            writer.writerows(self.episodes)
+            for phase, iteration, episode, seed, result in self.episodes:
+                writer.writerow([phase, iteration, episode, seed, result.steps, repr(float(result.episode_return)),
+                                 int(result.terminated_early), np.count_nonzero(result.rows[:, switch])])
 
 
 def episode_rng(seed: int, iteration: int, episode: int, phase: str) -> np.random.Generator:

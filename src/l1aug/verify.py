@@ -58,8 +58,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if not (self.eps_l >= 0 and self.eps_a > 0):
             raise ConfigError("SyntheticSpec: need eps_l >= 0 and eps_a > 0")
-        if not self.t_max > 0 or not self.ts_grid:
-            raise ConfigError("SyntheticSpec: need t_max > 0 and a nonempty ts_grid")
+        if not 0 < self.t_max < math.inf or not self.ts_grid:
+            raise ConfigError("SyntheticSpec: need a finite t_max > 0 and a nonempty ts_grid")
+        if not all(ts > 0 and round(self.t_max / ts) >= 2 for ts in self.ts_grid):
+            raise ConfigError(f"SyntheticSpec: each ts must be > 0 and split t_max into >= 2 intervals: {self.ts_grid}")
 
     def predict_mean(self, x: Array, u: Array) -> Array:
         return self.drift(x, u) + self.model_error(x, u)

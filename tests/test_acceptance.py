@@ -268,7 +268,7 @@ def test_criterion_9_end_to_end_loop(cartpole_loop):
     augmented_rows = 0
     for record in cartpole_loop["records_on"]:
         xs, us, xns = record.dataset.as_arrays()
-        collect = np.concatenate([rows for phase, *_, rows in record.trace if phase == "collect"])
+        collect = np.concatenate([result.rows for phase, *_, result in record.episodes if phase == "collect"])
         assert len(collect) == len(xs)
         c = mbrl.step_columns(record.n, record.m)
         for row, u_logged in zip(collect, us):
@@ -291,9 +291,10 @@ def test_criterion_10_switch_rate(pendulum_rejection, cartpole_loop, linear_ense
 
     switch_total, step_total = 0, 0
     for record in cartpole_loop["records_on"]:
-        for row in record.episodes:
-            step_total += int(row[4])
-            switch_total += int(row[7])
+        switch_col = mbrl.step_columns(record.n, record.m)["switch"]
+        for *_, result in record.episodes:
+            step_total += result.steps
+            switch_total += int(result.rows[:, switch_col].sum())
     rates["cartpole"] = 1000.0 * switch_total / max(step_total, 1)
 
     env = make_env("double_integrator")

@@ -121,6 +121,14 @@ def test_cli_run_invalid_config_exits_1(tmp_path):
     ("run", {"l1": {"eps_a": float("nan")}}),
     ("verify", {"synthetic": {"params": {"eps_a": float("nan")}}}),
     ("verify", {"synthetic": {"params": {"ts_grid": 0.01}}}),
+    ("run", {"model": {"lr": True}}),
+    ("run", {"disturbance": {"amplitude": True}}),
+    ("run", {"disturbance": {"sigma_a": True}}),
+    ("run", {"l1": {"eps_a": True}}),
+    ("run", {"l1": {"omega_factor": True}}),
+    ("run", {"model": {"lr": "1e-3"}}),
+    ("verify", {"synthetic": {"params": {"t_max": 0.02}}}),
+    ("verify", {"synthetic": {"params": {"t_max": float("inf")}}}),
 ])
 def test_cli_invalid_value_is_config_error(tmp_path, command, data):
     path = write_yaml(tmp_path / "bad.yaml", dict(data, out=str(tmp_path / "out")))
@@ -129,6 +137,15 @@ def test_cli_invalid_value_is_config_error(tmp_path, command, data):
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_float_fields_must_be_numbers():
+    for section, key in (("model", "lr"), ("l1", "eps_a"), ("disturbance", "amplitude")):
+        for value in (True, "1e-3"):
+            with pytest.raises(ConfigError, match=rf"config\.{section}\.{key}: expected a number"):
+                _from_dict(RunConfig, {section: {key: value}})
+    cfg = _from_dict(RunConfig, {"model": {"lr": 1}, "l1": {"eps_a": None, "as_value": -2}})
+    assert (cfg.model.lr, cfg.l1.eps_a, cfg.l1.as_value) == (1, None, -2)
 
 
 COMMITTED_CONFIGS = sorted((Path(L1AUG_ROOT).parent / "configs").glob("*.yaml")) + sorted(

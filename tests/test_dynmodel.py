@@ -77,6 +77,23 @@ def test_dataset_rejects_non_finite_rows():
     assert ds.n_rejected == 2
 
 
+def test_dataset_round_trip_copies_rows():
+    # Accepted rows come back bit for bit, a rejected row is absent, and each
+    # stored row is a copy of the caller's arrays.
+    ds = TransitionDataset(2, 1)
+    assert [a.shape for a in ds.as_arrays()] == [(0, 2), (0, 1), (0, 2)]
+    rng = np.random.default_rng(3)
+    xs, us, xns = rng.normal(size=(3, 2)), rng.normal(size=(3, 1)), rng.normal(size=(3, 2))
+    x = xs[0].copy()
+    assert ds.append(x, us[0], xns[0])
+    assert not ds.append(xs[1], us[1], np.array([0.0, np.nan]))
+    for i in (1, 2):
+        assert ds.append(xs[i], us[i], xns[i])
+    x[0] = 99.0
+    for stored, given in zip(ds.as_arrays(), (xs, us, xns)):
+        assert stored.tobytes() == given.tobytes()
+
+
 def test_dataset_dimension_check():
     ds = TransitionDataset(2, 1)
     with pytest.raises(ValueError):

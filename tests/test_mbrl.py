@@ -462,8 +462,8 @@ def test_ablation_collection_isolated_from_test_flag():
     # across l1_test settings (independently seeded phases).
     rec_a = _tiny_loop_record(False, False)
     rec_b = _tiny_loop_record(False, True)
-    collect_a = [(*key, rows.tobytes()) for *key, rows in rec_a.trace if key[0] == "collect"]
-    collect_b = [(*key, rows.tobytes()) for *key, rows in rec_b.trace if key[0] == "collect"]
+    collect_a = [(*key, result.rows.tobytes()) for *key, result in rec_a.episodes if key[0] == "collect"]
+    collect_b = [(*key, result.rows.tobytes()) for *key, result in rec_b.episodes if key[0] == "collect"]
     assert collect_a
     assert collect_a == collect_b
 
@@ -545,7 +545,7 @@ def test_train_loop_stores_the_baseline_input():
     # states, bit for bit, and collection was augmented.
     record = _tiny_loop_record(True, True)
     c = step_columns(record.n, record.m)
-    collect = np.concatenate([rows for phase, *_, rows in record.trace if phase == "collect"])
+    collect = np.concatenate([result.rows for phase, *_, result in record.episodes if phase == "collect"])
     xs, us, x_next = record.dataset.as_arrays()
     assert xs.tobytes() == collect[:, c["x"]].tobytes()
     assert us.tobytes() == collect[:, c["u_rl"]].tobytes()

@@ -50,7 +50,7 @@ def reference_bound_experiment(spec, cfg):
         t0 = i * ts
         u_rl = np.asarray(spec.u_star(t0), dtype=float)
         am, decision = reanchor(am, spec, x, u_rl, spec.eps_a)
-        switch_count += int(decision is not None and decision.switch)
+        switch_count += int(decision.switch)
         _, jac = am.parts(x)
         u, sigma_rate, _, _, q = l1_input(u_rl, xtilde, jac * ts, q, cfg)
         sigmas[i] = sigma_rate
