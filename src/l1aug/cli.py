@@ -162,8 +162,13 @@ def _from_dict(cls, data, path="config"):
         return cls(**kwargs)
 
 
+# The types each scalar hint accepts and the wording of a mismatch; a bool passes only a bool hint.
+_SCALARS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+            float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
 def _load_value(hint, value, path):
-    """One config value checked against its type hint: a section, a list of hinted items, a flag or a number."""
+    """One config value checked against its type hint: a section, a list or a scalar (``X | None`` takes None)."""
     if dataclasses.is_dataclass(hint):
         return _from_dict(hint, value, path)
     if typing.get_origin(hint) is list:
@@ -171,13 +176,14 @@ def _load_value(hint, value, path):
             raise ConfigError(f"{path}: expected a list, got {value!r}")
         (item,) = typing.get_args(hint)
         return [_load_value(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
-    if hint is bool and not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true or false, got {value!r}")
-    if hint is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    number = hint is float or (hint == float | None and value is not None)
-    if number and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if type(None) in typing.get_args(hint):  # X | None
+        if value is None:
+            return value
+        hint = typing.get_args(hint)[0]
+    if hint in _SCALARS:
+        accepted, expected = _SCALARS[hint]
+        if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+            raise ConfigError(f"{path}: expected {expected}, got {value!r}")
     return value
 
 
@@ -224,6 +230,8 @@ def resolve_config(cfg: ExperimentConfig, seed_override: tuple[int, ...] = (), o
         raise ConfigError("seeds list must not be empty")
     if any(seed < 0 for seed in cfg.seeds):
         raise ConfigError(f"seeds must be >= 0, got {cfg.seeds}")
+    if len(set(cfg.seeds)) < len(cfg.seeds):
+        raise ConfigError(f"seeds must not repeat, got {cfg.seeds}")
     _build_pieces(cfg)
     return cfg
 

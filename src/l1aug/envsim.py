@@ -19,6 +19,8 @@ Array = np.ndarray
 
 DISTURBANCE_KINDS = ("none", "constant_matched", "sinusoid_matched", "action_noise", "obs_noise")
 
+RK4_SUBSTEPS = 4  # RK4 steps per env.dt
+
 
 class ConfigError(ValueError):
     """Invalid configuration (unknown name, bad field value, bad key)."""
@@ -51,7 +53,6 @@ class EnvSpec:
     input_low: Array
     input_high: Array
     reward: Callable[[Array, Array], Array]
-    rk4_substeps: int = 4
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -153,8 +154,8 @@ def integrate(env: EnvSpec, dist: DisturbanceSpec, x: Array, u: Array, t0: float
             xdot = xdot + env.input_matrix(xt)[:, 0] * d
         return xdot
 
-    h = env.dt / env.rk4_substeps
-    for k in range(env.rk4_substeps):
+    h = env.dt / RK4_SUBSTEPS
+    for k in range(RK4_SUBSTEPS):
         x = rk4_step(field, t0 + k * h, x, h)
     return x
 

@@ -1,12 +1,13 @@
 """Discrete adaptive augmentation loop: predictor, adaptation, filter.
 
-The controller keeps a state predictor running the affine model plus an
-uncertainty estimate. The prediction error at each sample drives a
-piecewise-constant adaptation law whose gain inverts the exact interval
-response of the error dynamics; the matched component of the estimate is
-low-pass filtered and subtracted from the baseline input.
+Between samples the controller carries two things: a state predictor running
+the affine model, and the low-pass filter state. The prediction error at each
+sample drives a memoryless, piecewise-constant adaptation law whose gain
+inverts the exact interval response of the error dynamics; the matched
+component of the estimate is low-pass filtered and subtracted from the
+baseline input.
 
-Units convention: the uncertainty estimate ``sigma_rate`` is stored in
+Units convention: the uncertainty estimate ``sigma_rate`` is expressed in
 state-units per second and multiplied by the sampling time wherever an
 increment is needed (predictor update and matched/unmatched split). This
 makes the discrete recursion the Euler discretization of the continuous
@@ -62,32 +63,18 @@ def default_l1_config(n: int, ts: float, eps_a: float, as_value: float = -1.0, o
 
 @dataclass(frozen=True)
 class L1State:
-    """Controller state carried across steps within one episode.
+    """The controller's memory between samples: the state predictor and the filter state.
 
-    All estimates start at zero and the predictor starts on the measured
-    initial state. Single-owner: step strictly in time order.
+    The predictor starts on the measured initial state and the filter at
+    zero. Single-owner: step strictly in time order.
     """
 
     xhat: Array
-    sigma_rate: Array
-    sigma_m: Array
-    sigma_um: Array
     q: Array
-    xtilde: Array
 
     @classmethod
     def initial(cls, x0: Array, m: int) -> "L1State":
-        x0 = np.asarray(x0, dtype=float)
-        n = x0.shape[0]
-        n_um = max(n - m, 0)
-        return cls(
-            xhat=x0.copy(),
-            sigma_rate=np.zeros(n),
-            sigma_m=np.zeros(m),
-            sigma_um=np.zeros(n_um),
-            q=np.zeros(m),
-            xtilde=np.zeros(n),
-        )
+        return cls(xhat=np.array(x0, dtype=float), q=np.zeros(m))
 
 
 def adapt(xtilde: Array, cfg: L1Config) -> Array:
@@ -151,24 +138,18 @@ def l1_input(u_rl: Array, xtilde: Array, h: Array, q: Array, cfg: L1Config) -> t
 
 
 def l1_control(u_rl: Array, x: Array, am: AffineModel, parts: tuple[Array, Array], l1: L1State,
-               cfg: L1Config) -> tuple[Array, L1State]:
+               cfg: L1Config) -> tuple[Array, L1State, tuple[Array, Array, Array, Array]]:
     """Full per-step controller update, in order.
 
     Prediction-error update, the adaptive law at the current state, then the
     Euler predictor advance xhat + dx_affine(x, u) + (sigma_rate + As xtilde)
     ts using the augmented input; ``parts`` is ``am.parts(x)``. Returns the
-    input to execute and the next state.
+    input to execute, the next state and this step's estimates
+    (xtilde, sigma_rate, sigma_m, sigma_um).
     """
     x = np.asarray(x, dtype=float)
     u_rl = np.asarray(u_rl, dtype=float)
     xtilde = l1.xhat - x
     u, sigma_rate, sigma_m, sigma_um, q_next = l1_input(u_rl, xtilde, parts[1], l1.q, cfg)
     xhat_next = l1.xhat + am.predict(parts, u) + (sigma_rate + cfg.as_diag * xtilde) * cfg.ts
-    return u, L1State(
-        xhat=xhat_next,
-        sigma_rate=sigma_rate,
-        sigma_m=sigma_m,
-        sigma_um=sigma_um,
-        q=q_next,
-        xtilde=xtilde,
-    )
+    return u, L1State(xhat=xhat_next, q=q_next), (xtilde, sigma_rate, sigma_m, sigma_um)

@@ -179,11 +179,10 @@ def run_episode(
     rows = np.full((env.horizon, len(trace_columns(env.n, env.m)) - len(TRACE_KEYS)), np.nan)
     x_next = np.empty((env.horizon, env.n))
     episode_return = 0.0
-    terminated = False
-    steps = 0
+    steps = env.horizon
     for t in range(env.horizon):
         if not env.in_state_bounds(x_true):
-            terminated = True
+            steps = t
             break
         u_rl = mpc_action(model, env, x_obs, mpc, rng)
         row = rows[t]
@@ -193,7 +192,8 @@ def run_episode(
             am, decision = reanchor(am, model, x_obs, u_rl, l1cfg.eps_a)
             row[c["switch"]] = decision.switch
             row[c["switch_residual"]] = decision.residual
-            u_cmd, l1 = l1_control(u_rl, x_obs, am, decision.parts, l1, l1cfg)
+            u_cmd, l1, estimates = l1_control(u_rl, x_obs, am, decision.parts, l1, l1cfg)
+            row[c["xtilde"]], row[c["sigma"]], row[c["sigma_m"]], row[c["sigma_um"]] = estimates
             row[c["anchor_norm"]] = np.linalg.norm(am.ubar)
         else:
             u_cmd = u_rl
@@ -201,7 +201,7 @@ def run_episode(
         try:
             trans = step_true(env, dist, x_true, u_cmd, t, rng)
         except EpisodeDiverged:
-            terminated = True
+            steps = t
             break
 
         episode_return += trans.reward
@@ -211,18 +211,13 @@ def run_episode(
         row[c["u"]] = trans.u_applied
         row[c["reward"]] = trans.reward
         if use_l1:
-            row[c["xtilde"]] = l1.xtilde
-            row[c["sigma"]] = l1.sigma_rate
-            row[c["sigma_m"]] = l1.sigma_m
-            row[c["sigma_um"]] = l1.sigma_um
             row[c["u_a"]] = trans.u_applied - env.clamp_input(u_rl)
         x_next[t] = trans.x_next
         x_true = trans.x_next_true
         x_obs = trans.x_next
-        steps = t + 1
 
     return EpisodeResult(rows=rows[:steps], x_next=x_next[:steps], episode_return=episode_return,
-                         terminated_early=terminated)
+                         terminated_early=steps < env.horizon)
 
 
 EPISODE_COLUMNS = ["phase", "iteration", "episode", "seed", "steps", "episode_return", "terminated_early", "n_switches"]

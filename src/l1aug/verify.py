@@ -25,6 +25,8 @@ from .l1core import L1Config, default_l1_config, l1_input
 
 Array = np.ndarray
 
+SUBSTEPS = 8  # RK4 steps per sampling interval
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -53,7 +55,6 @@ class SyntheticSpec:
     input_high: Array
     t_max: float = 6.0
     ts_grid: tuple[float, ...] = (0.02, 0.01, 0.005)
-    substeps: int = 8
 
     def __post_init__(self):
         if not (self.eps_l >= 0 and self.eps_a > 0):
@@ -99,7 +100,7 @@ def run_bound_experiment(spec: SyntheticSpec, cfg: L1Config) -> ErrorTrace:
     """
     ts = cfg.ts
     n_int = int(round(spec.t_max / ts))
-    h = ts / spec.substeps
+    h = ts / SUBSTEPS
 
     x = spec.x0.astype(float).copy()
     xtilde = np.zeros(spec.n)
@@ -137,7 +138,7 @@ def run_bound_experiment(spec: SyntheticSpec, cfg: L1Config) -> ErrorTrace:
             return np.concatenate([rate_true, cfg.as_diag * et + sigma_rate - d])
 
         z = np.concatenate([x, xtilde])
-        for k in range(spec.substeps):
+        for k in range(SUBSTEPS):
             z = rk4_step(joint_field, t0 + k * h, z, h)
         x, xtilde = z[: spec.n], z[spec.n :]
 

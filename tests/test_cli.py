@@ -129,14 +129,28 @@ def test_cli_run_invalid_config_exits_1(tmp_path):
     ("run", {"model": {"lr": "1e-3"}}),
     ("verify", {"synthetic": {"params": {"t_max": 0.02}}}),
     ("verify", {"synthetic": {"params": {"t_max": float("inf")}}}),
+    ("run", {"out": 5}),
+    ("compare", {"out": 5}),
+    ("run", {"name": 7}),
+    ("compare", {"name": 7}),
+    ("run", {"seeds": [0, 0]}),
+    ("compare", {"seeds": [0, 0]}),
 ])
 def test_cli_invalid_value_is_config_error(tmp_path, command, data):
-    path = write_yaml(tmp_path / "bad.yaml", dict(data, out=str(tmp_path / "out")))
+    path = write_yaml(tmp_path / "bad.yaml", {"out": str(tmp_path / "out"), **data})
     proc = run_cli([command, str(path)], cwd=tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
-    assert not (tmp_path / "out").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
+
+
+def test_string_fields_must_be_strings():
+    for data, key in (({"out": 5}, "out"), ({"name": 7}, "name"), ({"env": {"name": 1}}, "env.name"),
+                      ({"disturbance": {"kind": False}}, "disturbance.kind")):
+        with pytest.raises(ConfigError, match=rf"config\.{key}: expected a string"):
+            _from_dict(RunConfig, data)
+    assert _from_dict(RunConfig, {"out": None}).out is None
 
 
 def test_float_fields_must_be_numbers():
@@ -463,6 +477,16 @@ def test_seed_override(tiny_run_cfg, tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = (out / "episodes.csv").read_text().splitlines()[1:]
     assert all(line.split(",")[3] == "7" for line in lines)
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_repeated_seed_override_is_config_error(tiny_run_cfg, tmp_path, command):
+    out = tmp_path / "dup"
+    proc = run_cli([command, str(tiny_run_cfg), "--out", str(out), "-s", "0", "-s", "0"], cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "config error" in proc.stderr and "seeds must not repeat" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

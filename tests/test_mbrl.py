@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from l1aug import envsim
+from l1aug.affine import reanchor
 from l1aug.dynmodel import Normalizer, TrainOptions, make_ensemble
 from l1aug.envsim import DisturbanceSpec, make_env
-from l1aug.l1core import default_l1_config
+from l1aug.l1core import default_l1_config, l1_input
 from l1aug.mbrl import (
     EPISODE_COLUMNS,
     LoopConfig,
@@ -386,6 +387,29 @@ def test_replay_counts_the_switches_of_run_episode(pendulum_ensemble):
     assert n_switches >= 10
     xs, us = result.rows[:, c["x"]], result.rows[:, c["u_rl"]]
     assert replay_switch_count(model, xs, us, l1cfg.eps_a) == n_switches
+
+
+def test_logged_controller_columns_replay_the_adaptive_law(pendulum_ensemble):
+    # From row 0's state and a zero filter, the switching law, the adaptive law
+    # and the Euler predictor reproduce every logged estimate bit for bit.
+    env, model = pendulum_ensemble
+    l1cfg = default_l1_config(env.n, env.dt, eps_a=5e-4)
+    dist = DisturbanceSpec(kind="constant_matched", amplitude=0.3, sigma_a=0.1)
+    result = run_episode(env, dist, model, MpcConfig(horizon=10, n_candidates=64), l1cfg, True,
+                         episode_rng(0, 0, 0, "eval"))
+    c = step_columns(env.n, env.m)
+    assert result.rows[1:, c["switch"]].any()
+    am, xhat, q = None, result.rows[0, c["x"]], np.zeros(env.m)
+    for t, row in enumerate(result.rows):
+        x, u_rl = row[c["x"]], row[c["u_rl"]]
+        am, decision = reanchor(am, model, x, u_rl, l1cfg.eps_a)
+        xtilde = xhat - x
+        u, sigma, sigma_m, sigma_um, q = l1_input(u_rl, xtilde, decision.parts[1], q, l1cfg)
+        u_a = env.clamp_input(u) - env.clamp_input(u_rl)
+        for name, value in (("xhat", xhat), ("xtilde", xtilde), ("sigma", sigma), ("sigma_m", sigma_m),
+                            ("sigma_um", sigma_um), ("u_a", u_a)):
+            assert np.array_equal(row[c[name]], value), (t, name)
+        xhat = xhat + am.predict(decision.parts, u) + (sigma + l1cfg.as_diag * xtilde) * l1cfg.ts
 
 
 def test_horizon_zero_like_empty_dataset():

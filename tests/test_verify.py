@@ -7,6 +7,7 @@ from l1aug.affine import reanchor
 from l1aug.envsim import ConfigError, rk4_step
 from l1aug.l1core import L1Config, l1_input
 from l1aug.verify import (
+    SUBSTEPS,
     SyntheticSpec,
     check_assumption_bound,
     default_synthetic_spec,
@@ -68,11 +69,11 @@ def reference_bound_experiment(spec, cfg):
             e_norms.append(float(np.linalg.norm(d - sigma_rate)))
 
         z = np.concatenate([x, xtilde])
-        h = ts / spec.substeps
+        h = ts / SUBSTEPS
         record(t0, x)
-        for k in range(spec.substeps):
+        for k in range(SUBSTEPS):
             z = rk4_step(joint_field, t0 + k * h, z, h)
-            if k < spec.substeps - 1:
+            if k < SUBSTEPS - 1:
                 record(t0 + (k + 1) * h, z[: spec.n])
         x, xtilde = z[: spec.n], z[spec.n :]
     return np.asarray(times), np.asarray(e_norms), sigmas, switch_count
