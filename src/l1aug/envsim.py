@@ -4,6 +4,11 @@ Each environment is a smooth vector field integrated with fixed-step RK4 to
 produce discrete transitions x_{t+1} = x_t + dx. Disturbances enter either
 through the true input channel (matched), as actuation noise, or as
 observation noise on the reported next state.
+
+The plant is integrated on short lists of Python floats: a step is a few
+dozen scalar operations, which numpy would pay for one small array at a
+time. The vector field keeps numpy's elementwise operations and their order,
+so a step has the bits of the same RK4 written over float64 arrays.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,10 +39,12 @@ class EpisodeDiverged(RuntimeError):
 class EnvSpec:
     """A continuous-time control benchmark with box-bounded state and input.
 
-    ``drift`` is the undisturbed vector field F(x, u). ``input_matrix`` gives
-    the true input channel B(x) through which matched disturbances enter.
-    Leaving ``state_low``/``state_high`` terminates the episode with zero
-    reward thereafter. ``reward`` must be vectorized over leading axes.
+    ``drift`` is the undisturbed vector field F(x, u): it takes the state and
+    the input as sequences of floats and returns the n rates as a sequence of
+    floats. ``input_matrix`` gives the true input channel B(x) through which
+    matched disturbances enter, as n rows of m floats. Leaving
+    ``state_low``/``state_high`` terminates the episode with zero reward
+    thereafter. ``reward`` must be vectorized over leading axes.
     """
 
     name: str
@@ -45,8 +52,8 @@ class EnvSpec:
     m: int
     dt: float
     horizon: int
-    drift: Callable[[Array, Array], Array]
-    input_matrix: Callable[[Array], Array]
+    drift: Callable[[Sequence[float], Sequence[float]], Sequence[float]]
+    input_matrix: Callable[[Sequence[float]], Sequence[Sequence[float]]]
     x0_sampler: Callable[[np.random.Generator], Array]
     state_low: Array
     state_high: Array
@@ -78,8 +85,20 @@ class EnvSpec:
         return np.clip(u, self.input_low, self.input_high)
 
     def in_state_bounds(self, x: Array) -> Array:
-        """Whether each state along the last axis of ``x`` lies in the closed state box; NaN lies outside."""
-        return ((x >= self.state_low) & (x <= self.state_high)).all(axis=-1)
+        """Whether each state along the last axis of ``x`` lies in the closed state box; NaN lies outside.
+
+        A plan's (H, N, n) block is tested one component at a time over the
+        leading axes, which costs a quarter of reducing a short last axis. A
+        single state is tested on floats.
+        """
+        lows, highs = self.state_low.tolist(), self.state_high.tolist()
+        if x.ndim == 1:
+            return np.bool_(all(lo <= v <= hi for v, lo, hi in zip(x.tolist(), lows, highs)))
+        inside = True
+        for i, (lo, hi) in enumerate(zip(lows, highs)):
+            xi = x[..., i]
+            inside = inside & (xi >= lo) & (xi <= hi)
+        return inside
 
 
 @dataclass(frozen=True)
@@ -136,22 +155,26 @@ class Transition:
     reward: float
 
 
-def rk4_step(f: Callable[[float, Array], Array], t: float, x: Array, h: float) -> Array:
+def rk4_step(
+    f: Callable[[float, Sequence[float]], Sequence[float]], t: float, x: Sequence[float], h: float
+) -> list[float]:
+    """One classical RK4 step of x' = f(t, x) over sequences of floats, elementwise as numpy would."""
+    half, sixth = 0.5 * h, h / 6.0
     k1 = f(t, x)
-    k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = f(t + h, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + half, [a + half * k for a, k in zip(x, k1)])
+    k3 = f(t + half, [a + half * k for a, k in zip(x, k2)])
+    k4 = f(t + h, [a + h * k for a, k in zip(x, k3)])
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
 
 
-def integrate(env: EnvSpec, dist: DisturbanceSpec, x: Array, u: Array, t0: float) -> Array:
-    """Advance the disturbed field F(x,u) + B(x) d(t) by one dt via RK4."""
+def integrate(env: EnvSpec, dist: DisturbanceSpec, x: Sequence[float], u: Sequence[float], t0: float) -> list[float]:
+    """Advance the disturbed field F(x,u) + B(x) d(t) by one dt via RK4, on floats."""
 
-    def field(t: float, xt: Array) -> Array:
+    def field(t: float, xt: Sequence[float]) -> Sequence[float]:
         xdot = env.drift(xt, u)
         d = dist.matched_value(t)
         if d != 0.0:
-            xdot = xdot + env.input_matrix(xt)[:, 0] * d
+            xdot = [a + row[0] * d for a, row in zip(xdot, env.input_matrix(xt))]
         return xdot
 
     h = env.dt / RK4_SUBSTEPS
@@ -174,7 +197,8 @@ def step_true(
     Action noise perturbs the clamped command at the actuator (re-clamped so
     the physical input stays in the box); observation noise perturbs only the
     returned ``x_next``, never the internal true state. Reward is computed on
-    the true state and the clamped command.
+    the true state and the clamped command. A state that overflows or turns
+    non-finite during integration raises ``EpisodeDiverged``.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -188,7 +212,14 @@ def step_true(
     if dist.sigma_a > 0:
         u_exec = env.clamp_input(u_cmd + rng.uniform(-dist.sigma_a, dist.sigma_a, size=env.m))
 
-    x_next_true = integrate(env, dist, x, u_exec, t0=t * env.dt)
+    try:
+        x_next_true = integrate(env, dist, x.tolist(), u_exec.tolist(), t0=t * env.dt)
+    except (OverflowError, ValueError) as exc:  # float overflow, or math.sin of an infinite state
+        raise EpisodeDiverged(f"env {env.name}: state overflowed during step {t}") from exc
+    # The float RK4 zips the state with the rates, so a short drift would shorten the state silently.
+    x_next_true = np.array(x_next_true, dtype=float)
+    if x_next_true.shape != (env.n,):
+        raise ValueError(f"env {env.name}: drift returned {x_next_true.shape[0]} rates, expected {env.n}")
     if not np.isfinite(x_next_true).all():
         raise EpisodeDiverged(f"env {env.name}: non-finite state after step {t}")
 
@@ -215,10 +246,10 @@ def double_integrator(dt: float = 0.1, horizon: int = 60) -> EnvSpec:
     """Point mass on a line: x1' = x2, x2' = u."""
 
     def drift(x, u):
-        return np.stack([x[..., 1], u[..., 0]], axis=-1)
+        return (x[1], u[0])
 
     def input_matrix(x):
-        return np.array([[0.0], [1.0]])
+        return ((0.0,), (1.0,))
 
     def reward(x, u):
         return -(x[..., 0] ** 2 + 0.1 * x[..., 1] ** 2 + 0.01 * u[..., 0] ** 2)
@@ -246,10 +277,10 @@ def pendulum(
     inv_ml2 = 1.0 / (mass * length**2)
 
     def drift(x, u):
-        return np.stack([x[..., 1], -gl * np.sin(x[..., 0]) + inv_ml2 * u[..., 0]], axis=-1)
+        return (x[1], -gl * math.sin(x[0]) + inv_ml2 * u[0])
 
     def input_matrix(x):
-        return np.array([[0.0], [inv_ml2]])
+        return ((0.0,), (inv_ml2,))
 
     def reward(x, u):
         return -(x[..., 0] ** 2 + 0.1 * x[..., 1] ** 2 + 0.001 * u[..., 0] ** 2)
@@ -283,24 +314,24 @@ def cartpole(
     ml = pole_mass * pole_length
 
     def drift(x, u):
-        th = x[..., 2]
-        thdot = x[..., 3]
-        force = u[..., 0]
-        sin_th = np.sin(th)
-        cos_th = np.cos(th)
-        tmp = (force + ml * thdot**2 * sin_th) / total_mass
+        thdot = x[3]
+        sin_th = math.sin(x[2])
+        cos_th = math.cos(x[2])
+        # Squares round as numpy's do over one state: a 0-d array's thdot**2 is
+        # thdot * thdot (written so, it cannot raise float **'s OverflowError), and
+        # a numpy scalar's cos_th**2 is libm pow, as float ** is. The two differ in
+        # the last bit for about one cosine in 1200; |cos_th| <= 1 cannot overflow.
+        tmp = (u[0] + ml * (thdot * thdot) * sin_th) / total_mass
         th_acc = (gravity * sin_th - cos_th * tmp) / (
             pole_length * (4.0 / 3.0 - pole_mass * cos_th**2 / total_mass)
         )
         p_acc = tmp - ml * th_acc * cos_th / total_mass
-        return np.stack([x[..., 1], p_acc, thdot, th_acc], axis=-1)
+        return (x[1], p_acc, thdot, th_acc)
 
     def input_matrix(x):
         # Accelerations are affine in the force, so a central difference of the
         # drift is the exact input channel.
-        e = np.array([1.0])
-        col = 0.5 * (drift(x, e) - drift(x, -e))
-        return col.reshape(-1, 1)
+        return [(0.5 * (a - b),) for a, b in zip(drift(x, (1.0,)), drift(x, (-1.0,)))]
 
     def reward(x, u):
         return 1.0 - (x[..., 2] ** 2 + 0.05 * x[..., 0] ** 2 + 0.001 * u[..., 0] ** 2)

@@ -11,7 +11,12 @@ Units convention: the uncertainty estimate ``sigma_rate`` is expressed in
 state-units per second and multiplied by the sampling time wherever an
 increment is needed (predictor update and matched/unmatched split). This
 makes the discrete recursion the Euler discretization of the continuous
-predictor, so the continuous-time estimation-error analysis carries over.
+predictor. The analysis does not carry over exactly: the gain inverts the
+exact response exp(As ts), and it is not deadbeat for the Euler error
+recursion xtilde+ = (1 + As ts) xtilde + ts (sigma - d). So criterion 1's
+one-interval exactness is a property of the bound harness in ``verify``,
+which integrates the prediction error exactly. Under this predictor the
+estimate of a constant disturbance settles over a few samples instead.
 """
 
 from __future__ import annotations

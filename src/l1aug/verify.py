@@ -126,8 +126,9 @@ def run_bound_experiment(spec: SyntheticSpec, cfg: L1Config) -> ErrorTrace:
 
         stage = 0
 
-        def joint_field(t: float, z: Array) -> Array:
+        def joint_field(t: float, z: list[float]) -> list[float]:
             nonlocal stage
+            z = np.array(z)
             xt, et = z[: spec.n], z[spec.n :]
             rate_true = spec.drift(xt, u) + spec.disturbance(t, xt, u)
             d = rate_true - am.predict(parts if stage == 0 else am.parts(xt), u)
@@ -135,12 +136,12 @@ def run_bound_experiment(spec: SyntheticSpec, cfg: L1Config) -> ErrorTrace:
                 times.append(t)
                 e_norms.append(float(np.linalg.norm(d - sigma_rate)))
             stage += 1
-            return np.concatenate([rate_true, cfg.as_diag * et + sigma_rate - d])
+            return np.concatenate([rate_true, cfg.as_diag * et + sigma_rate - d]).tolist()
 
-        z = np.concatenate([x, xtilde])
+        z = np.concatenate([x, xtilde]).tolist()
         for k in range(SUBSTEPS):
             z = rk4_step(joint_field, t0 + k * h, z, h)
-        x, xtilde = z[: spec.n], z[spec.n :]
+        x, xtilde = np.array(z[: spec.n]), np.array(z[spec.n :])
 
     times_arr = np.asarray(times)
     e_arr = np.asarray(e_norms)

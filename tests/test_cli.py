@@ -40,17 +40,19 @@ def write_yaml(path, data):
     return path
 
 
+# An experiment that runs in seconds.
+TINY_EXPERIMENT = {
+    "env": {"name": "double_integrator", "overrides": {"horizon": 40}},
+    "model": {"members": 2, "hidden": [16, 16], "max_epochs": 8, "min_rows": 32},
+    "mpc": {"horizon": 4, "n_candidates": 16},
+    "loop": {"iterations": 1, "episodes_per_iteration": 2, "eval_episodes": 1},
+    "seeds": [0],
+}
+
+
 @pytest.fixture
 def tiny_run_cfg(tmp_path):
-    return write_yaml(tmp_path / "run.yaml", {
-        "name": "tiny",
-        "env": {"name": "double_integrator", "overrides": {"horizon": 40}},
-        "model": {"members": 2, "hidden": [16, 16], "max_epochs": 8, "min_rows": 32},
-        "mpc": {"horizon": 4, "n_candidates": 16},
-        "loop": {"iterations": 1, "episodes_per_iteration": 2, "eval_episodes": 1},
-        "seeds": [0],
-        "out": str(tmp_path / "out"),
-    })
+    return write_yaml(tmp_path / "run.yaml", {"name": "tiny", **TINY_EXPERIMENT, "out": str(tmp_path / "out")})
 
 
 def test_unknown_top_level_key_rejected(tmp_path):
@@ -137,7 +139,12 @@ def test_cli_run_invalid_config_exits_1(tmp_path):
     ("compare", {"seeds": [0, 0]}),
 ])
 def test_cli_invalid_value_is_config_error(tmp_path, command, data):
-    path = write_yaml(tmp_path / "bad.yaml", {"out": str(tmp_path / "out"), **data})
+    # run and compare cases override sections of the tiny experiment key by key, so a
+    # case that the loader stopped rejecting runs for seconds before it fails.
+    base = {"out": str(tmp_path / "out"), **(TINY_EXPERIMENT if command != "verify" else {})}
+    for key, value in data.items():
+        base[key] = {**base[key], **value} if isinstance(base.get(key), dict) and isinstance(value, dict) else value
+    path = write_yaml(tmp_path / "bad.yaml", base)
     proc = run_cli([command, str(path)], cwd=tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert "config error" in proc.stderr

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1aug.envsim import ConfigError, DisturbanceSpec, make_env, rk4_step, step_true
+from l1aug import envsim
+from l1aug.envsim import ConfigError, DisturbanceSpec, EpisodeDiverged, make_env, rk4_step, step_true
 
 
 @pytest.fixture
@@ -94,14 +95,141 @@ def test_rk4_step_evaluates_f_at_t_x_first():
     calls = []
 
     def f(t, x):
-        calls.append((t, x.copy()))
-        return -x
+        calls.append((t, list(x)))
+        return [-a for a in x]
 
-    x = np.array([0.3, -0.2])
+    x = [0.3, -0.2]
     rk4_step(f, 0.7, x, 0.1)
     assert len(calls) == 4
-    assert calls[0][0] == 0.7
-    assert np.array_equal(calls[0][1], x)
+    assert calls[0] == (0.7, x)
+
+
+# The array integrator that the float RK4 replaced: the catalog fields over
+# float64 arrays, with numpy's elementwise operations in the same order.
+def _array_fields(name):
+    if name == "double_integrator":
+        return (lambda x, u: np.stack([x[..., 1], u[..., 0]], axis=-1)), (lambda x: np.array([[0.0], [1.0]]))
+    if name == "pendulum":
+        gl, inv_ml2 = 9.81 / 1.0, 1.0 / (1.0 * 1.0**2)
+        return (lambda x, u: np.stack([x[..., 1], -gl * np.sin(x[..., 0]) + inv_ml2 * u[..., 0]], axis=-1),
+                lambda x: np.array([[0.0], [inv_ml2]]))
+    total_mass, pole_mass, pole_length, ml = 1.1, 0.1, 0.5, 0.1 * 0.5
+
+    def drift(x, u):
+        th, thdot, force = x[..., 2], x[..., 3], u[..., 0]
+        sin_th, cos_th = np.sin(th), np.cos(th)
+        tmp = (force + ml * thdot**2 * sin_th) / total_mass
+        th_acc = (9.81 * sin_th - cos_th * tmp) / (pole_length * (4.0 / 3.0 - pole_mass * cos_th**2 / total_mass))
+        p_acc = tmp - ml * th_acc * cos_th / total_mass
+        return np.stack([x[..., 1], p_acc, thdot, th_acc], axis=-1)
+
+    e = np.array([1.0])
+    return drift, (lambda x: (0.5 * (drift(x, e) - drift(x, -e))).reshape(-1, 1))
+
+
+def _array_rk4_step(f, t, x, h):
+    k1 = f(t, x)
+    k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
+    k4 = f(t + h, x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _array_step_true(env, dist, x, u, t, rng):
+    drift, input_matrix = _array_fields(env.name)
+
+    def field(tt, xt):
+        xdot = drift(xt, u_exec)
+        d = dist.matched_value(tt)
+        if d != 0.0:
+            xdot = xdot + input_matrix(xt)[:, 0] * d
+        return xdot
+
+    u_cmd = env.clamp_input(u)
+    u_exec = u_cmd
+    if dist.sigma_a > 0:
+        u_exec = env.clamp_input(u_cmd + rng.uniform(-dist.sigma_a, dist.sigma_a, size=env.m))
+    h = env.dt / envsim.RK4_SUBSTEPS
+    x_next_true = x
+    for k in range(envsim.RK4_SUBSTEPS):
+        x_next_true = _array_rk4_step(field, t * env.dt + k * h, x_next_true, h)
+    x_next = x_next_true
+    if dist.sigma_o > 0:
+        x_next = x_next_true + rng.uniform(-dist.sigma_o, dist.sigma_o, size=env.n)
+    return u_cmd, x_next, x_next_true
+
+
+@pytest.mark.parametrize("name", ["double_integrator", "pendulum", "cartpole"])
+def test_float_fields_match_array_fields_bit_for_bit(name):
+    # Over one state, numpy's np.cos returns a scalar whose **2 is libm pow, not
+    # cos * cos; the two differ in the last bit for about one cosine in 1200, so
+    # a field is compared on enough states to see such a rounding.
+    env = make_env(name)
+    drift, input_matrix = _array_fields(name)
+    draws = np.random.default_rng(5)
+    xs = draws.uniform(1.5 * env.state_low, 1.5 * env.state_high, size=(40000, env.n))
+    us = draws.uniform(1.5 * env.input_low, 1.5 * env.input_high, size=(40000, env.m))
+    mismatches = [i for i, (x, u) in enumerate(zip(xs, us))
+                  if not np.array_equal(np.array(env.drift(x.tolist(), u.tolist())), drift(x, u))]
+    assert mismatches == []
+    for x in xs[:200]:
+        assert np.array_equal(np.array(env.input_matrix(x.tolist())), input_matrix(x))
+
+
+@pytest.mark.parametrize("name", ["double_integrator", "pendulum", "cartpole"])
+@pytest.mark.parametrize("dist", [
+    DisturbanceSpec(),
+    DisturbanceSpec(kind="constant_matched", amplitude=0.3),
+    DisturbanceSpec(kind="sinusoid_matched", amplitude=0.7, frequency=0.8),
+    DisturbanceSpec(kind="action_noise", sigma_a=0.1),
+    DisturbanceSpec(kind="obs_noise", sigma_o=0.05),
+], ids=["none", "constant", "sinusoid", "action_noise", "obs_noise"])
+def test_float_step_matches_array_integrator_bit_for_bit(name, dist):
+    env = make_env(name)
+    draws = np.random.default_rng(11)
+    for _ in range(150):
+        # States past the box and inputs past the clamp, at random times.
+        x = draws.uniform(1.5 * env.state_low, 1.5 * env.state_high)
+        u = draws.uniform(1.5 * env.input_low, 1.5 * env.input_high)
+        t = int(draws.integers(0, 400))
+        seed = int(draws.integers(2**32))
+        tr = step_true(env, dist, x, u, t, np.random.default_rng(seed))
+        u_cmd, x_next, x_next_true = _array_step_true(env, dist, x, u, t, np.random.default_rng(seed))
+        assert np.array_equal(tr.u_applied, u_cmd)
+        assert np.array_equal(tr.x_next_true, x_next_true)
+        assert np.array_equal(tr.x_next, x_next)
+        assert isinstance(tr.x_next, np.ndarray) and tr.x_next.dtype == float
+
+
+@pytest.mark.parametrize("name,x", [("cartpole", [0.0, 0.0, 0.0, 1e200]), ("pendulum", [0.0, 1e308]),
+                                    ("cartpole", [0.0, 0.0, 1e308, 1e308]), ("double_integrator", [0.0, 1e308])])
+def test_overflowing_state_is_episode_diverged(name, x, rng):
+    # Float arithmetic overflows to inf, and math.sin(inf) raises ValueError where np.sin returns NaN.
+    env = make_env(name)
+    with pytest.raises(EpisodeDiverged):
+        step_true(env, DisturbanceSpec(), np.array(x), np.zeros(1), 0, rng)
+
+
+def test_float_power_overflow_is_episode_diverged(rng):
+    # A field written with float ** raises OverflowError instead of returning inf.
+    env = envsim.EnvSpec(
+        name="power", n=1, m=1, dt=0.1, horizon=5,
+        drift=lambda x, u: (x[0] ** 2,), input_matrix=lambda x: ((1.0,),),
+        x0_sampler=lambda rng: np.zeros(1),
+        state_low=np.array([-1e300]), state_high=np.array([1e300]),
+        input_low=np.array([-1.0]), input_high=np.array([1.0]),
+        reward=lambda x, u: -(x**2).sum(axis=-1),
+    )
+    with pytest.raises(EpisodeDiverged) as info:
+        step_true(env, DisturbanceSpec(), np.array([1e200]), np.zeros(1), 0, rng)
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
+def test_drift_with_too_few_rates_is_rejected(rng):
+    env = make_env("double_integrator")
+    short = envsim.EnvSpec(**{**env.__dict__, "drift": lambda x, u: (u[0],)})
+    with pytest.raises(ValueError, match="drift returned 1 rates, expected 2"):
+        step_true(short, DisturbanceSpec(), np.zeros(2), np.zeros(1), 0, rng)
 
 
 @pytest.mark.parametrize("horizon", [40.0, True, "40"])

@@ -36,12 +36,9 @@ class UnitIncrementModel:
 
 
 def make_scalar_env(reward, horizon=10):
-    def drift(x, u):
-        return u[..., 0:1] if x.ndim > 1 else np.array([u[0]])
-
     return envsim.EnvSpec(
         name="scalar", n=1, m=1, dt=1.0, horizon=horizon,
-        drift=lambda x, u: np.stack([u[..., 0]], axis=-1),
+        drift=lambda x, u: (u[0],),
         input_matrix=lambda x: np.array([[1.0]]),
         x0_sampler=lambda rng: np.array([1.0]),
         state_low=np.array([-100.0]), state_high=np.array([100.0]),

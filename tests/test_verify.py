@@ -58,24 +58,25 @@ def reference_bound_experiment(spec, cfg):
         u = np.clip(u, spec.input_low, spec.input_high)
 
         def joint_field(t, z, anchor=am, u=u, sigma_rate=sigma_rate):
+            z = np.array(z)
             xt, et = z[: spec.n], z[spec.n :]
             rate_true = spec.drift(xt, u) + spec.disturbance(t, xt, u)
             d = rate_true - anchor.predict(anchor.parts(xt), u)
-            return np.concatenate([rate_true, cfg.as_diag * et + sigma_rate - d])
+            return np.concatenate([rate_true, cfg.as_diag * et + sigma_rate - d]).tolist()
 
         def record(t, xt, anchor=am, u=u, sigma_rate=sigma_rate):
             d = spec.drift(xt, u) + spec.disturbance(t, xt, u) - anchor.predict(anchor.parts(xt), u)
             times.append(t)
             e_norms.append(float(np.linalg.norm(d - sigma_rate)))
 
-        z = np.concatenate([x, xtilde])
+        z = np.concatenate([x, xtilde]).tolist()
         h = ts / SUBSTEPS
         record(t0, x)
         for k in range(SUBSTEPS):
             z = rk4_step(joint_field, t0 + k * h, z, h)
             if k < SUBSTEPS - 1:
-                record(t0 + (k + 1) * h, z[: spec.n])
-        x, xtilde = z[: spec.n], z[spec.n :]
+                record(t0 + (k + 1) * h, np.array(z[: spec.n]))
+        x, xtilde = np.array(z[: spec.n]), np.array(z[spec.n :])
     return np.asarray(times), np.asarray(e_norms), sigmas, switch_count
 
 
