@@ -9,13 +9,18 @@ error e(t) = true rate - affine model rate - uncertainty estimate at a dense
 grid of times. The headline checks: e stays below eps_l + eps_a on the first
 sampling interval, and its supremum afterwards shrinks linearly with the
 sampling time toward a 2 eps_a floor.
+
+As the plant in ``envsim``, the harness steps on Python floats: the fields
+are float closed forms. The norms stay numpy's, whose bits a float square
+root of a sum of squares does not always reproduce.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from operator import add, mul
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,19 +37,20 @@ SUBSTEPS = 8  # RK4 steps per sampling interval
 class SyntheticSpec:
     """A fully known system for exercising the estimation-error bound.
 
-    The spec is its own synthetic learned model: ``predict_mean`` is F + delta
-    (rates, not increments) and the field ``jacobian_u`` its input Jacobian in
-    closed form. The residual error is W - delta and eps_l must upper-bound
-    its norm over the test box; ``check_assumption_bound`` spot-checks that
-    by sampling.
+    The fields take the state and the input as sequences of floats: ``drift``
+    F(x, u), ``disturbance`` W(t, x, u) and ``model_error`` delta(x, u) return
+    n rates, ``input_jacobian`` d(F + delta)/du n rows of m. The spec is its
+    own learned model: ``predict_mean`` (F + delta, in rates) and ``jacobian_u``
+    wrap the fields as arrays. eps_l must bound the norm of the residual error
+    W - delta over the test box, which ``check_assumption_bound`` samples.
     """
 
     n: int
     m: int
-    drift: Callable[[Array, Array], Array]
-    disturbance: Callable[[float, Array, Array], Array]
-    model_error: Callable[[Array, Array], Array]
-    jacobian_u: Callable[[Array, Array], Array]
+    drift: Callable[[Sequence[float], Sequence[float]], Sequence[float]]
+    disturbance: Callable[[float, Sequence[float], Sequence[float]], Sequence[float]]
+    model_error: Callable[[Sequence[float], Sequence[float]], Sequence[float]]
+    input_jacobian: Callable[[Sequence[float], Sequence[float]], Sequence[Sequence[float]]]
     eps_l: float
     eps_a: float
     x0: Array
@@ -63,13 +69,26 @@ class SyntheticSpec:
             raise ConfigError("SyntheticSpec: need a finite t_max > 0 and a nonempty ts_grid")
         if not all(ts > 0 and round(self.t_max / ts) >= 2 for ts in self.ts_grid):
             raise ConfigError(f"SyntheticSpec: each ts must be > 0 and split t_max into >= 2 intervals: {self.ts_grid}")
+        # The float path zips, so an x0, bound or field of the wrong length would silently shorten the state.
+        x0, u0 = np.asarray(self.x0, dtype=float), np.asarray(self.u_star(0.0), dtype=float)
+        vectors = (x0, self.state_low, self.state_high, u0, self.input_low, self.input_high)
+        if [np.shape(v) for v in vectors] != [(self.n,)] * 3 + [(self.m,)] * 3:
+            raise ConfigError(f"SyntheticSpec: x0 and state bounds need shape ({self.n},), "
+                              f"u_star(0) and input bounds ({self.m},)")
+        x0, u0 = x0.tolist(), u0.tolist()
+        rates = (self.drift(x0, u0), self.disturbance(0.0, x0, u0), self.model_error(x0, u0))
+        if [np.shape(r) for r in (*rates, *self.input_jacobian(x0, u0))] != [(self.n,)] * 3 + [(self.m,)] * self.n:
+            raise ConfigError(f"SyntheticSpec: fields need {self.n} rates, input_jacobian {self.n} rows of {self.m}")
 
-    def predict_mean(self, x: Array, u: Array) -> Array:
-        return self.drift(x, u) + self.model_error(x, u)
+    def predict_mean(self, x: Sequence[float], u: Sequence[float]) -> Array:
+        return np.add(self.drift(x, u), self.model_error(x, u))
 
-    def residual_error(self, t: float, x: Array, u: Array) -> Array:
+    def jacobian_u(self, x: Sequence[float], u: Sequence[float]) -> Array:
+        return np.array(self.input_jacobian(x, u), dtype=float)
+
+    def residual_error(self, t: float, x: Sequence[float], u: Sequence[float]) -> Array:
         """l(t, x, u) = true rate minus model rate = W - delta."""
-        return self.disturbance(t, x, u) - self.model_error(x, u)
+        return np.subtract(self.disturbance(t, x, u), self.model_error(x, u))
 
 
 @dataclass
@@ -97,6 +116,8 @@ def run_bound_experiment(spec: SyntheticSpec, cfg: L1Config) -> ErrorTrace:
     the prediction error is integrated exactly and with the clamped input.
     e(t) is recorded at each substep's first RK4 stage, f(t, z) at its start;
     the check, the adaptive law and the sample's first stage share one ``parts``.
+    Later stages sum f + J (u - ubar) per row on floats, which gives numpy's
+    matmul bits for m = 1 only; for m > 1 the last bit may differ.
     """
     ts = cfg.ts
     n_int = int(round(spec.t_max / ts))
@@ -124,21 +145,25 @@ def run_bound_experiment(spec: SyntheticSpec, cfg: L1Config) -> ErrorTrace:
         sigmas[i] = sigma_rate
         u = np.clip(u, spec.input_low, spec.input_high)
 
+        uf, ubar, sig, gain = u.tolist(), am.ubar.tolist(), sigma_rate.tolist(), cfg.as_diag.tolist()
+        du = [a - b for a, b in zip(uf, ubar)]
+        anchor_parts = (parts[0].tolist(), parts[1].tolist())
         stage = 0
 
         def joint_field(t: float, z: list[float]) -> list[float]:
             nonlocal stage
-            z = np.array(z)
             xt, et = z[: spec.n], z[spec.n :]
-            rate_true = spec.drift(xt, u) + spec.disturbance(t, xt, u)
-            d = rate_true - am.predict(parts if stage == 0 else am.parts(xt), u)
+            f_anchor, jac = anchor_parts if stage == 0 else (
+                list(map(add, spec.drift(xt, ubar), spec.model_error(xt, ubar))), spec.input_jacobian(xt, ubar))
+            rate_true = list(map(add, spec.drift(xt, uf), spec.disturbance(t, xt, uf)))
+            d = [r - (f + sum(map(mul, row, du))) for r, f, row in zip(rate_true, f_anchor, jac)]
             if stage % 4 == 0:  # rk4_step's first stage, f(t, z) at the substep start
                 times.append(t)
-                e_norms.append(float(np.linalg.norm(d - sigma_rate)))
+                e_norms.append(float(np.linalg.norm([a - s for a, s in zip(d, sig)])))
             stage += 1
-            return np.concatenate([rate_true, cfg.as_diag * et + sigma_rate - d]).tolist()
+            return rate_true + [g * e + s - a for g, e, s, a in zip(gain, et, sig, d)]
 
-        z = np.concatenate([x, xtilde]).tolist()
+        z = x.tolist() + xtilde.tolist()
         for k in range(SUBSTEPS):
             z = rk4_step(joint_field, t0 + k * h, z, h)
         x, xtilde = np.array(z[: spec.n]), np.array(z[spec.n :])
@@ -255,19 +280,19 @@ def scalar_constant_spec(
     """
 
     def drift(x, u):
-        return np.array([u[0]])
+        return (u[0],)
 
     def disturbance(t, x, u):
-        return np.array([d])
+        return (d,)
 
     def model_error(x, u):
-        return np.zeros(1)
+        return (0.0,)
 
-    def jacobian_u(x, u):
-        return np.array([[1.0]])
+    def input_jacobian(x, u):
+        return ((1.0,),)
 
     return SyntheticSpec(
-        n=1, m=1, drift=drift, disturbance=disturbance, model_error=model_error, jacobian_u=jacobian_u,
+        n=1, m=1, drift=drift, disturbance=disturbance, model_error=model_error, input_jacobian=input_jacobian,
         eps_l=abs(d), eps_a=eps_a,
         x0=np.zeros(1), u_star=lambda t: np.zeros(1),
         state_low=np.array([-5.0]), state_high=np.array([5.0]),
@@ -295,16 +320,16 @@ def default_synthetic_spec(
     du = 0.05
 
     def drift(x, u):
-        return np.array([x[1], -1.2 * x[0] - 0.6 * x[1] + 0.4 * math.sin(x[0]) + u[0]])
+        return (x[1], -1.2 * x[0] - 0.6 * x[1] + 0.4 * math.sin(x[0]) + u[0])
 
     def disturbance(t, x, u):
-        return np.array([0.0, w_const + w_amp * math.sin(w_freq * t)])
+        return (0.0, w_const + w_amp * math.sin(w_freq * t))
 
     def model_error(x, u):
-        return np.array([d1 * math.sin(x[0]), d2 * math.tanh(x[1]) + du * math.sin(1.3 * u[0])])
+        return (d1 * math.sin(x[0]), d2 * math.tanh(x[1]) + du * math.sin(1.3 * u[0]))
 
-    def jacobian_u(x, u):
-        return np.array([[0.0], [1.0 + du * 1.3 * math.cos(1.3 * u[0])]])
+    def input_jacobian(x, u):
+        return ((0.0,), (1.0 + du * 1.3 * math.cos(1.3 * u[0]),))
 
     # sup||W - delta|| <= sqrt(d1^2 + (w_const + w_amp + d2 + du)^2)
     eps_l = math.sqrt(d1**2 + (w_const + w_amp + d2 + du) ** 2)
@@ -313,7 +338,7 @@ def default_synthetic_spec(
         return np.array([0.8 * math.sin(1.1 * t) + 0.5 * math.sin(0.37 * t + 0.5) + 0.3 * math.sin(2.3 * t + 1.1)])
 
     return SyntheticSpec(
-        n=2, m=1, drift=drift, disturbance=disturbance, model_error=model_error, jacobian_u=jacobian_u,
+        n=2, m=1, drift=drift, disturbance=disturbance, model_error=model_error, input_jacobian=input_jacobian,
         eps_l=eps_l, eps_a=eps_a,
         x0=np.array([0.3, 0.0]), u_star=u_star,
         state_low=np.array([-4.0, -4.0]), state_high=np.array([4.0, 4.0]),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,12 +28,11 @@ def affine_noiseless_spec():
     """No disturbance, no model error, model exactly affine: e stays at zero."""
 
     def drift(x, u):
-        return np.array([0.3 * x[1], -0.5 * x[0] + u[0]])
+        return (0.3 * x[1], -0.5 * x[0] + u[0])
 
-    zero2 = lambda *_: np.zeros(2)
     return SyntheticSpec(
-        n=2, m=1, drift=drift, disturbance=lambda t, x, u: np.zeros(2), model_error=lambda x, u: np.zeros(2),
-        jacobian_u=lambda x, u: np.array([[0.0], [1.0]]),
+        n=2, m=1, drift=drift, disturbance=lambda t, x, u: (0.0, 0.0), model_error=lambda x, u: (0.0, 0.0),
+        input_jacobian=lambda x, u: ((0.0,), (1.0,)),
         eps_l=1e-9, eps_a=0.05,
         x0=np.array([0.4, -0.2]), u_star=lambda t: np.array([math.sin(t)]),
         state_low=np.array([-3.0, -3.0]), state_high=np.array([3.0, 3.0]),
@@ -60,12 +60,12 @@ def reference_bound_experiment(spec, cfg):
         def joint_field(t, z, anchor=am, u=u, sigma_rate=sigma_rate):
             z = np.array(z)
             xt, et = z[: spec.n], z[spec.n :]
-            rate_true = spec.drift(xt, u) + spec.disturbance(t, xt, u)
+            rate_true = np.add(spec.drift(xt, u), spec.disturbance(t, xt, u))
             d = rate_true - anchor.predict(anchor.parts(xt), u)
             return np.concatenate([rate_true, cfg.as_diag * et + sigma_rate - d]).tolist()
 
         def record(t, xt, anchor=am, u=u, sigma_rate=sigma_rate):
-            d = spec.drift(xt, u) + spec.disturbance(t, xt, u) - anchor.predict(anchor.parts(xt), u)
+            d = np.add(spec.drift(xt, u), spec.disturbance(t, xt, u)) - anchor.predict(anchor.parts(xt), u)
             times.append(t)
             e_norms.append(float(np.linalg.norm(d - sigma_rate)))
 
@@ -78,6 +78,89 @@ def reference_bound_experiment(spec, cfg):
                 record(t0 + (k + 1) * h, np.array(z[: spec.n]))
         x, xtilde = np.array(z[: spec.n]), np.array(z[spec.n :])
     return np.asarray(times), np.asarray(e_norms), sigmas, switch_count
+
+
+# --- Array reference: the presets and the bound loop written over float64 arrays ---------
+
+
+class ArraySpec:
+    """A preset's fields over float64 arrays; box, x0, input and tolerances come from the float spec."""
+
+    def __init__(self, spec, drift, disturbance, model_error, jacobian_u):
+        self.spec, self.drift, self.disturbance, self.model_error, self.jacobian_u = (
+            spec, drift, disturbance, model_error, jacobian_u)
+
+    def __getattr__(self, name):
+        return getattr(self.spec, name)
+
+    def predict_mean(self, x, u):
+        return self.drift(x, u) + self.model_error(x, u)
+
+    def residual_error(self, t, x, u):
+        return self.disturbance(t, x, u) - self.model_error(x, u)
+
+
+def array_default(spec):
+    w_const, w_amp, w_freq, d1, d2, du = 0.25, 0.45, 1.7, 0.12, 0.08, 0.05
+    return ArraySpec(
+        spec,
+        lambda x, u: np.array([x[1], -1.2 * x[0] - 0.6 * x[1] + 0.4 * math.sin(x[0]) + u[0]]),
+        lambda t, x, u: np.array([0.0, w_const + w_amp * math.sin(w_freq * t)]),
+        lambda x, u: np.array([d1 * math.sin(x[0]), d2 * math.tanh(x[1]) + du * math.sin(1.3 * u[0])]),
+        lambda x, u: np.array([[0.0], [1.0 + du * 1.3 * math.cos(1.3 * u[0])]]),
+    )
+
+
+def array_scalar_constant(spec, d=0.5):
+    return ArraySpec(spec, lambda x, u: np.array([u[0]]), lambda t, x, u: np.array([d]),
+                     lambda x, u: np.zeros(1), lambda x, u: np.array([[1.0]]))
+
+
+def array_bound_experiment(spec, cfg):
+    """The bound loop with its joint field over arrays: f + J (u - ubar) by matmul, one ``parts`` per stage."""
+    ts = cfg.ts
+    n_int = int(round(spec.t_max / ts))
+    h = ts / SUBSTEPS
+    x, xtilde, q, am = spec.x0.astype(float).copy(), np.zeros(spec.n), np.zeros(spec.m), None
+    times, e_norms, sigmas, switch_count = [], [], np.zeros((n_int, spec.n)), 0
+    for i in range(n_int):
+        t0 = i * ts
+        u_rl = np.asarray(spec.u_star(t0), dtype=float)
+        am, decision = reanchor(am, spec, x, u_rl, spec.eps_a)
+        switch_count += int(decision.switch)
+        parts = decision.parts
+        u, sigma_rate, _, _, q = l1_input(u_rl, xtilde, parts[1] * ts, q, cfg)
+        sigmas[i] = sigma_rate
+        u = np.clip(u, spec.input_low, spec.input_high)
+        stage = 0
+
+        def joint_field(t, z, anchor=am, parts=parts, u=u, sigma_rate=sigma_rate):
+            nonlocal stage
+            z = np.array(z)
+            xt, et = z[: spec.n], z[spec.n :]
+            rate_true = spec.drift(xt, u) + spec.disturbance(t, xt, u)
+            d = rate_true - anchor.predict(parts if stage == 0 else anchor.parts(xt), u)
+            if stage % 4 == 0:
+                times.append(t)
+                e_norms.append(float(np.linalg.norm(d - sigma_rate)))
+            stage += 1
+            return np.concatenate([rate_true, cfg.as_diag * et + sigma_rate - d]).tolist()
+
+        z = np.concatenate([x, xtilde]).tolist()
+        for k in range(SUBSTEPS):
+            z = rk4_step(joint_field, t0 + k * h, z, h)
+        x, xtilde = np.array(z[: spec.n]), np.array(z[spec.n :])
+    return np.asarray(times), np.asarray(e_norms), sigmas, switch_count
+
+
+def array_assumption_sup(spec, samples, rng):
+    low = np.concatenate([[0.0], spec.state_low, spec.input_low])
+    high = np.concatenate([[spec.t_max], spec.state_high, spec.input_high])
+    draws = rng.uniform(low, high, size=(samples, 1 + spec.n + spec.m))
+    worst = 0.0
+    for t, x, u in zip(draws[:, 0].tolist(), draws[:, 1 : 1 + spec.n], draws[:, 1 + spec.n :]):
+        worst = max(worst, float(np.linalg.norm(spec.residual_error(t, x, u))))
+    return worst
 
 
 @pytest.mark.parametrize("spec,ts", [(default_synthetic_spec(t_max=2.0), 0.01), (scalar_constant_spec(), 0.1)],
@@ -105,6 +188,7 @@ def test_assumption_bound_matches_per_sample_draws(seed):
         worst = max(worst, float(np.linalg.norm(spec.residual_error(t, x, u))))
     report = check_assumption_bound(spec, 3000, np.random.default_rng(seed))
     assert report["sup_estimate"] == worst
+    assert report["sup_estimate"] == array_assumption_sup(array_default(spec), 3000, np.random.default_rng(seed))
 
 
 def test_zero_uncertainty_error_is_machine_scale():
@@ -162,12 +246,12 @@ def test_assumption_bound_sine_error_approaches_eps_l():
     eps_l = 0.4
 
     def drift(x, u):
-        return np.array([u[0], -x[0]])
+        return (u[0], -x[0])
 
     spec = SyntheticSpec(
-        n=2, m=1, drift=drift, disturbance=lambda t, x, u: np.zeros(2),
-        model_error=lambda x, u: np.array([eps_l * math.sin(x[0]), 0.0]),
-        jacobian_u=lambda x, u: np.array([[1.0], [0.0]]),
+        n=2, m=1, drift=drift, disturbance=lambda t, x, u: (0.0, 0.0),
+        model_error=lambda x, u: (eps_l * math.sin(x[0]), 0.0),
+        input_jacobian=lambda x, u: ((1.0,), (0.0,)),
         eps_l=eps_l, eps_a=0.1,
         x0=np.zeros(2), u_star=lambda t: np.zeros(1),
         state_low=np.array([-4.0, -4.0]), state_high=np.array([4.0, 4.0]),
@@ -183,7 +267,7 @@ def test_assumption_bound_negative_control():
     spec = scalar_constant_spec(d=0.5)
     bad = SyntheticSpec(
         n=spec.n, m=spec.m, drift=spec.drift, disturbance=spec.disturbance,
-        model_error=spec.model_error, jacobian_u=spec.jacobian_u, eps_l=0.4, eps_a=spec.eps_a,
+        model_error=spec.model_error, input_jacobian=spec.input_jacobian, eps_l=0.4, eps_a=spec.eps_a,
         x0=spec.x0, u_star=spec.u_star,
         state_low=spec.state_low, state_high=spec.state_high,
         input_low=spec.input_low, input_high=spec.input_high,
@@ -237,7 +321,7 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         SyntheticSpec(
             n=1, m=1, drift=spec.drift, disturbance=spec.disturbance,
-            model_error=spec.model_error, jacobian_u=spec.jacobian_u, eps_l=0.5, eps_a=0.1,
+            model_error=spec.model_error, input_jacobian=spec.input_jacobian, eps_l=0.5, eps_a=0.1,
             x0=spec.x0, u_star=spec.u_star,
             state_low=spec.state_low, state_high=spec.state_high,
             input_low=spec.input_low, input_high=spec.input_high,
@@ -250,3 +334,69 @@ def test_switch_storm_flagged_for_tiny_eps_a():
     spec = default_synthetic_spec(eps_a=1e-9)
     report = run_ts_grid(spec)
     assert any(row["switch_storm"] for row in report["per_ts"])
+
+
+BIT_CASES = [
+    (default_synthetic_spec(t_max=2.0), array_default, 0.02),
+    (default_synthetic_spec(t_max=2.0), array_default, 0.01),
+    (default_synthetic_spec(t_max=2.0), array_default, 0.005),
+    (scalar_constant_spec(), array_scalar_constant, 0.1),
+    (default_synthetic_spec(eps_a=1e-9, t_max=2.0), array_default, 0.01),
+]
+
+
+@pytest.mark.parametrize("spec,to_array,ts", BIT_CASES,
+                         ids=["default-0.02", "default-0.01", "default-0.005", "scalar_constant", "switch_storm"])
+def test_float_harness_matches_array_harness_bit_for_bit(spec, to_array, ts):
+    trace = run_bound_experiment(spec, cfg_for(spec, ts))
+    times, e_norms, sigmas, switch_count = array_bound_experiment(to_array(spec), cfg_for(spec, ts))
+    assert np.array_equal(trace.times, times)
+    assert np.array_equal(trace.e_norms, e_norms)
+    assert np.array_equal(trace.sigma_per_interval, sigmas)
+    assert trace.switch_count == switch_count
+    if spec.eps_a < 1e-6:
+        assert switch_count > 0.5 * trace.n_intervals
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("spec,to_array", [(default_synthetic_spec(), array_default),
+                                           (scalar_constant_spec(), array_scalar_constant)],
+                         ids=["default", "scalar_constant"])
+def test_float_fields_match_array_fields_bit_for_bit(spec, to_array):
+    ref = to_array(spec)
+    rng = np.random.default_rng(11)
+    ts = rng.uniform(0.0, spec.t_max, 40_000)
+    xs = rng.uniform(spec.state_low, spec.state_high, (40_000, spec.n))
+    us = rng.uniform(spec.input_low, spec.input_high, (40_000, spec.m))
+    got, want = [], []
+    for t, x, u in zip(ts.tolist(), xs, us):
+        xf, uf = x.tolist(), u.tolist()
+        got.append([spec.drift(xf, uf), spec.disturbance(t, xf, uf), spec.model_error(xf, uf),
+                    spec.predict_mean(x, u), spec.residual_error(t, xf, uf)])
+        want.append([ref.drift(x, u), ref.disturbance(t, x, u), ref.model_error(x, u),
+                     ref.predict_mean(x, u), ref.residual_error(t, x, u)])
+        got.append([spec.input_jacobian(xf, uf), spec.jacobian_u(x, u)])
+        want.append([ref.jacobian_u(x, u)] * 2)
+    assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("change", [
+    {"drift": lambda x, u: (x[1],)},
+    {"disturbance": lambda t, x, u: (0.0, 0.0, 0.0)},
+    {"model_error": lambda x, u: (0.0,)},
+    {"input_jacobian": lambda x, u: ((0.0,),)},
+    {"input_jacobian": lambda x, u: ((0.0,), (1.0, 0.0))},
+    {"input_jacobian": lambda x, u: (0.0, 1.0)},
+    {"x0": np.zeros(3)},
+    {"state_low": np.array([-4.0])},
+    {"input_high": np.array([2.0, 2.0])},
+    {"u_star": lambda t: np.zeros(2)},
+], ids=["drift", "disturbance", "model_error", "jacobian_rows", "jacobian_row", "jacobian_flat", "x0", "state_low",
+        "input_high", "u_star"])
+def test_spec_rejects_wrong_lengths(change):
+    with pytest.raises(ConfigError):
+        replace(default_synthetic_spec(), **change)
