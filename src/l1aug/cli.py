@@ -217,8 +217,11 @@ def _build_pieces(cfg: ExperimentConfig):
     return env, l1cfg, opts
 
 
-def resolve_config(cfg: ExperimentConfig, seed_override: tuple[int, ...] = (), out_override: str | None = None):
-    """Fill in the eps_a, out and seed defaults of a run or compare config; check it builds."""
+def resolve_config(cfg: ExperimentConfig, seed_override: tuple[int, ...] = (), out_override: str | None = None,
+                   jobs: int = 1):
+    """Fill in the eps_a, out and seed defaults of a run or compare config; check it builds and jobs >= 1."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     if cfg.l1.eps_a is None:
         cfg.l1.eps_a = EPS_A_DEFAULTS.get(cfg.env.name, 0.3)
     if out_override:
@@ -323,7 +326,7 @@ def main():
 def cmd_run(config_path, seed_override, out_override, jobs):
     """Execute the train-and-evaluate loop for every seed in the config."""
     try:
-        cfg = resolve_config(load_config(RunConfig, config_path), seed_override, out_override)
+        cfg = resolve_config(load_config(RunConfig, config_path), seed_override, out_override, jobs)
     except ConfigError as exc:
         _config_error(exc)
 
@@ -441,7 +444,7 @@ def _sign_test_p(wins: int, losses: int) -> float:
 def cmd_compare(config_path, seed_override, out_override, jobs):
     """Paired baseline-vs-augmented runs per scenario on shared seeds."""
     try:
-        cfg = resolve_config(load_config(CompareConfig, config_path), seed_override, out_override)
+        cfg = resolve_config(load_config(CompareConfig, config_path), seed_override, out_override, jobs)
         if not cfg.scenarios:
             raise ConfigError("scenarios must be a non-empty list")
     except ConfigError as exc:

@@ -77,7 +77,7 @@ def forward(weights: list[Array], biases: list[Array], z: Array) -> tuple[Array,
     acts = []
     a = z
     for w, b in zip(weights[:-1], biases[:-1]):
-        # In place: each (members, rows, width) temporary adds to a full-dataset loss's peak memory.
+        # In place: each layer allocates only its (members, rows, width) product, which backprop keeps.
         a = a @ w.swapaxes(1, 2)
         a += b[:, None, :]
         np.tanh(a, out=a)
@@ -299,6 +299,11 @@ class _Adam:
         a /= b
         flat -= a
 
+    def keep(self, rows: Array) -> None:
+        """Drop the moment rows of the members not in ``rows``; ``t`` stays shared."""
+        self.m, self.v = self.m[rows], self.v[rows]
+        self._a, self._b = np.empty_like(self.m), np.empty_like(self.m)
+
 
 def _layer_views(flat: Array, weights: list[Array]) -> tuple[list[Array], list[Array]]:
     """(members, out, in) weight and (members, out) bias views of a (members, P) buffer.
@@ -316,8 +321,15 @@ def _layer_views(flat: Array, weights: list[Array]) -> tuple[list[Array], list[A
 
 
 def _mse(weights: list[Array], biases: list[Array], z: Array, y: Array) -> Array:
-    """Per-member mean squared error, as a (members,) array."""
-    out, _ = forward(weights, biases, z)
+    """Per-member mean squared error over shared (rows, in) inputs, as a (members,) array.
+
+    Each member runs its own forward, so a full-dataset pass holds one member's
+    activations, not every member's. The stacked matmul calls BLAS once per
+    member with these same operands, so every loss keeps its bits.
+    """
+    out = np.empty((len(weights[0]), *y.shape))
+    for k in range(len(out)):
+        out[k] = forward([w[k : k + 1] for w in weights], [b[k : k + 1] for b in biases], z)[0][0]
     return np.mean((out - y) ** 2, axis=(1, 2))
 
 
@@ -336,26 +348,28 @@ def _fit(ensemble: Ensemble, z_tr: Array, y_tr: Array, z_val: Array, y_val: Arra
          opts: TrainOptions) -> tuple[Array, Array, Array, Array]:
     """Every member's Adam epochs with early stopping, over one (members, P) buffer.
 
-    Returns the initial and best validation losses, the best-weight buffer and
-    the epochs each member ran. The epoch's gathered rows, Adam's state and the
-    gradient buffer are freed on return, before the caller's full-training-set
-    loss sets the peak memory.
+    The buffer holds only the members still training: a member that stops
+    leaves it, with its rows of the gradient and Adam buffers, its shuffle draw
+    and its share of the epoch gather. ``live`` maps the buffer's rows to
+    member indices. Returns the initial and best validation losses, the
+    best-weight buffer and the epochs each member ran, indexed by member. The
+    epoch's buffers are freed on return, before the caller's full-set loss.
     """
     flat = np.concatenate([a.reshape(len(a), -1) for pair in zip(ensemble.weights, ensemble.biases)
                            for a in pair], axis=1)
-    weights, biases = _layer_views(flat, ensemble.weights)
     grad = np.empty_like(flat)
-    g_w, g_b = _layer_views(grad, ensemble.weights)
     adam = _Adam(flat, opts.lr)
-    initial_val = _mse(weights, biases, z_val, y_val)
-    member_rngs = [np.random.default_rng([opts.seed, 0x6D62, k]) for k in range(len(initial_val))]
+    initial_val = _mse(*_layer_views(flat, ensemble.weights), z_val, y_val)
+    member_rngs = [np.random.default_rng([opts.seed, 0x6D62, k]) for k in range(len(flat))]
     best_val, best = initial_val.copy(), flat.copy()
-    best_epoch, epochs_run = np.zeros((2, len(initial_val)), dtype=int)
-    active = np.ones(len(initial_val), dtype=bool)
+    best_epoch, epochs_run = np.zeros((2, len(flat)), dtype=int)
+    live = np.arange(len(flat))
     for epoch in range(1, opts.max_epochs + 1):
-        if not active.any():
+        if len(live) == 0:
             break
-        order = np.stack([r.permutation(len(z_tr)) for r in member_rngs])
+        weights, biases = _layer_views(flat, ensemble.weights)
+        g_w, g_b = _layer_views(grad, ensemble.weights)
+        order = np.stack([member_rngs[k].permutation(len(z_tr)) for k in live])
         z_ep, y_ep = z_tr[order], y_tr[order]
         for start in range(0, len(z_tr), opts.batch_size):
             zb, yb = z_ep[:, start : start + opts.batch_size], y_ep[:, start : start + opts.batch_size]
@@ -364,15 +378,18 @@ def _fit(ensemble: Ensemble, z_tr: Array, y_tr: Array, z_val: Array, y_val: Arra
             _grads(weights, zb, grad_out, acts, g_w, g_b)
             adam.step(flat, grad)
         val_loss = _mse(weights, biases, z_val, y_val)
-        epochs_run[active] = epoch
-        diverged = active & ~np.isfinite(val_loss)
-        if diverged.any():
-            raise TrainingDivergenceError(f"member {np.argmax(diverged)}: non-finite validation loss at epoch {epoch}")
-        improved = active & (val_loss < best_val)
-        best_val[improved] = val_loss[improved]
-        best_epoch[improved] = epoch
-        best[improved] = flat[improved]
-        active &= improved | (epoch - best_epoch < opts.patience)
+        epochs_run[live] = epoch
+        if not np.isfinite(val_loss).all():
+            member = live[np.argmin(np.isfinite(val_loss))]
+            raise TrainingDivergenceError(f"member {member}: non-finite validation loss at epoch {epoch}")
+        improved = val_loss < best_val[live]
+        best_val[live[improved]] = val_loss[improved]
+        best_epoch[live[improved]] = epoch
+        best[live[improved]] = flat[improved]
+        keep = improved | (epoch - best_epoch[live] < opts.patience)
+        if not keep.all():
+            live, flat, grad = live[keep], flat[keep], grad[keep]
+            adam.keep(keep)
     return initial_val, best_val, best, epochs_run
 
 
@@ -380,13 +397,13 @@ def train(ensemble: Ensemble, data: TransitionDataset, opts: TrainOptions) -> tu
     """Train every member on the normalized increment loss with early stopping.
 
     The normalizer is refit on the training split only. Members step in
-    lockstep, each on its own shuffle stream, until the last one stops; a
-    stopped member's losses are no longer read, and each member's
-    best-validation weights are restored. The layer arrays train as views of
-    one (members, P) buffer, which Adam and the best-weight snapshot treat
-    whole, and each epoch gathers every member's shuffled rows once. Returns a
-    new Ensemble, with contiguous copies of the best weights, bound to the
-    refit normalizer plus per-member losses.
+    lockstep, each on its own shuffle stream; a member that stops leaves the
+    stacked step, and each member's best-validation weights are restored. The
+    layer arrays train as views of one (members, P) buffer, which Adam and the
+    best-weight snapshot treat whole, and each epoch gathers every training
+    member's shuffled rows once. The full-set losses run one member at a time.
+    Returns a new Ensemble, with contiguous copies of the best weights, bound
+    to the refit normalizer plus per-member losses.
     """
     if len(data) == 0:
         raise ConfigError("training dataset is empty")

@@ -90,7 +90,8 @@ def mpc_action(model: Ensemble, env: EnvSpec, x: Array, mpc: MpcConfig, rng: np.
     if not np.isfinite(x).all():
         raise ValueError("non-finite model input")
     n, horizon, n_cands = env.n, mpc.horizon, mpc.n_candidates
-    cands = rng.uniform(env.input_low, env.input_high, size=(n_cands, horizon, env.m))
+    # numpy's own uniform formula on the same stream, without its broadcast path for array bounds.
+    cands = env.input_low + (env.input_high - env.input_low) * rng.random((n_cands, horizon, env.m))
     u = cands.swapaxes(0, 1)
     if hasattr(model, "planning_map"):
         plan, dtype = model.planning_map, np.float32

@@ -504,3 +504,15 @@ def test_negative_seed_override_is_config_error(tiny_run_cfg, tmp_path, command)
     assert "config error" in proc.stderr and "seeds must be >= 0" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_jobs_below_one_is_config_error(tiny_run_cfg, tmp_path, command, jobs):
+    # Exit 1 as a config error, not click's usage error: 2 is the criterion-failure code.
+    out = tmp_path / "jobs"
+    proc = run_cli([command, str(tiny_run_cfg), "--out", str(out), "--jobs", str(jobs)], cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert f"config error: --jobs must be >= 1, got {jobs}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from l1aug import dynmodel
 from l1aug.dynmodel import (
     Ensemble,
     Normalizer,
@@ -14,6 +16,8 @@ from l1aug.dynmodel import (
     TrainReport,
     TrainingDivergenceError,
     TransitionDataset,
+    _layer_views,
+    _mse,
     forward,
     make_ensemble,
     train,
@@ -287,11 +291,15 @@ def reference_train(ensemble, data, opts):
     ((), 1, TrainOptions(max_epochs=5, seed=2), False),
     ((8,), 4, TrainOptions(max_epochs=0, seed=3), False),
     ((16, 16), 1, TrainOptions(lr=1e-2, batch_size=7, max_epochs=8, patience=2, seed=4), False),
-], ids=["staggered-stops", "batch-7-four-members", "no-hidden-layer", "zero-epochs", "one-member-batch-7"])
+    ((8,), 4, TrainOptions(lr=3e-3, patience=3, seed=3), True),
+], ids=["staggered-stops", "batch-7-four-members", "no-hidden-layer", "zero-epochs", "one-member-batch-7",
+        "far-apart-stops"])
 def test_train_matches_per_array_reference(hidden, members, opts, staggered):
-    # The flat-buffer Adam, in-place gradients and per-epoch gather reproduce
-    # the per-array loop bit for bit; 160 training rows leave a partial last
-    # batch of 6 at batch size 7.
+    # The flat-buffer Adam, in-place gradients, per-epoch gather and dropping
+    # of stopped members reproduce the per-array loop, which keeps stepping
+    # every member, bit for bit; 160 training rows leave a partial last batch
+    # of 6 at batch size 7. The far-apart case stops its members at epochs
+    # 22, 62, 6 and 4.
     data = noisy_dataset(200, 0)
     ens = make_ensemble(1, 1, hidden=hidden, members=members, seed=3)
     before = [a.copy() for a in ens.weights + ens.biases]
@@ -305,6 +313,60 @@ def test_train_matches_per_array_reference(hidden, members, opts, staggered):
     for original, kept in zip(before, ens.weights + ens.biases):
         assert np.array_equal(original, kept)
         assert not any(np.shares_memory(kept, a) for a in trained.weights + trained.biases)
+
+
+def test_training_steps_forward_only_the_members_still_training(monkeypatch):
+    data, opts = noisy_dataset(200, 0), TrainOptions(lr=3e-3, patience=3, seed=3)
+    stepped = []
+
+    def counting_forward(weights, biases, z):
+        if z.ndim == 3:  # a training batch; the full-set losses pass shared 2-D inputs
+            stepped.append(z.shape[0] * z.shape[1])
+        return forward(weights, biases, z)
+
+    monkeypatch.setattr(dynmodel, "forward", counting_forward)
+    _, report = train(make_ensemble(1, 1, hidden=(8,), members=4, seed=3), data, opts)
+    assert report.epochs_run == [22, 62, 6, 4]
+    assert sum(stepped) == sum(report.epochs_run) * 160
+
+
+def stacked_mse(weights, biases, z, y):
+    return np.mean((forward(weights, biases, z)[0] - y) ** 2, axis=(1, 2))
+
+
+@pytest.mark.parametrize("hidden", [(), (7,), (16, 16), (64, 64)])
+@pytest.mark.parametrize("members", [1, 2, 3, 4])
+def test_per_member_loss_matches_the_stacked_pass(hidden, members):
+    # The full-set losses read contiguous layer arrays (final_train) and column
+    # views of the (members, P) training buffer (initial_val, per-epoch
+    # validation); both must give the stacked pass's bits.
+    rng = np.random.default_rng([members, len(hidden)])
+    ens = make_ensemble(4, 1, hidden=hidden, members=members, seed=members)
+    biases = [rng.normal(size=b.shape) for b in ens.biases]
+    flat = np.concatenate([a.reshape(members, -1) for pair in zip(ens.weights, biases) for a in pair], axis=1)
+    layouts = [(ens.weights, biases), _layer_views(flat, ens.weights)]
+    for rows in (1, 63, 1201, 4800):
+        z, y = rng.normal(size=(rows, 5)), rng.normal(size=(rows, 4))
+        for weights, bs in layouts:
+            assert _mse(weights, bs, z, y).tobytes() == stacked_mse(weights, bs, z, y).tobytes()
+
+
+def test_train_peak_memory_holds_one_members_activations():
+    # 4800 training and 1200 validation rows through a 3x(64, 64) cartpole
+    # ensemble: a stacked full-set pass holds every member's two activations
+    # (16.5 MiB traced at the peak), one member at a time 7.0 MiB.
+    rng = np.random.default_rng(0)
+    data = TransitionDataset(4, 1)
+    for x, u, dx in zip(rng.normal(size=(6000, 4)), rng.normal(size=(6000, 1)), rng.normal(size=(6000, 4))):
+        data.append(x, u, x + dx)
+    ens = make_ensemble(4, 1, hidden=(64, 64), members=3, seed=0)
+    tracemalloc.start()
+    try:
+        train(ens, data, TrainOptions(max_epochs=3, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 # --- Prediction and ensemble arithmetic ----------------------------------------

@@ -35,32 +35,36 @@ class UnitIncrementModel:
         return np.array([[1.0]])
 
 
-def make_scalar_env(reward, horizon=10):
+def make_scalar_env(reward, horizon=10, box=(-2.0, 2.0)):
     return envsim.EnvSpec(
         name="scalar", n=1, m=1, dt=1.0, horizon=horizon,
         drift=lambda x, u: (u[0],),
         input_matrix=lambda x: np.array([[1.0]]),
         x0_sampler=lambda rng: np.array([1.0]),
         state_low=np.array([-100.0]), state_high=np.array([100.0]),
-        input_low=np.array([-2.0]), input_high=np.array([2.0]),
+        input_low=np.array([box[0]]), input_high=np.array([box[1]]),
         reward=reward,
     )
 
 
 class FixedCandidateRng:
-    """Stands in for a Generator: hands out preset candidate sequences."""
+    """Stands in for a Generator: hands out preset candidate sequences.
+
+    mpc_action scales ``random`` draws onto the input box, so the presets come
+    back unchanged only on the unit box.
+    """
 
     def __init__(self, cands):
         self.cands = np.asarray(cands, dtype=float)
 
-    def uniform(self, low, high, size):
+    def random(self, size):
         assert size == self.cands.shape
         return self.cands
 
 
 def test_mpc_brute_force_three_candidates():
     # dx = u, reward -(x_next^2), x = 1, horizon 1: u = -1.0 is the argmax.
-    env = make_scalar_env(lambda x, u: -(x[..., 0] ** 2))
+    env = make_scalar_env(lambda x, u: -(x[..., 0] ** 2), box=(0.0, 1.0))
     mpc = MpcConfig(horizon=1, n_candidates=3)
     rng = FixedCandidateRng(np.array([-1.2, -1.0, 0.0]).reshape(3, 1, 1))
     u = mpc_action(UnitIncrementModel(), env, np.array([1.0]), mpc, rng)
@@ -68,7 +72,7 @@ def test_mpc_brute_force_three_candidates():
 
 
 def test_mpc_single_candidate_returned():
-    env = make_scalar_env(lambda x, u: -(x[..., 0] ** 2))
+    env = make_scalar_env(lambda x, u: -(x[..., 0] ** 2), box=(0.0, 1.0))
     mpc = MpcConfig(horizon=3, n_candidates=1)
     seq = np.array([0.7, -0.3, 0.1]).reshape(1, 3, 1)
     u = mpc_action(UnitIncrementModel(), env, np.array([1.0]), mpc, FixedCandidateRng(seq))
@@ -76,7 +80,7 @@ def test_mpc_single_candidate_returned():
 
 
 def test_mpc_zero_reward_tie_breaks_to_first():
-    env = make_scalar_env(lambda x, u: np.zeros(np.shape(x[..., 0])))
+    env = make_scalar_env(lambda x, u: np.zeros(np.shape(x[..., 0])), box=(0.0, 1.0))
     mpc = MpcConfig(horizon=2, n_candidates=4)
     seq = np.arange(8, dtype=float).reshape(4, 2, 1)
     u = mpc_action(UnitIncrementModel(), env, np.array([0.0]), mpc, FixedCandidateRng(seq))
@@ -90,6 +94,33 @@ def test_mpc_deterministic_given_seed():
     a = mpc_action(model, env, np.array([1.0, 0.0]), mpc, np.random.default_rng(77))
     b = mpc_action(model, env, np.array([1.0, 0.0]), mpc, np.random.default_rng(77))
     assert np.array_equal(a, b)
+
+
+class ZeroIncrementModel:
+    def predict_mean(self, x, u):
+        return np.zeros(np.shape(x))
+
+
+@pytest.mark.parametrize("name, box", [
+    ("pendulum", None), ("cartpole", None), ("double_integrator", None),
+    ("pendulum", ([-1.5, 0.25], [0.5, 3.0])),
+], ids=["pendulum", "cartpole", "double-integrator", "two-inputs"])
+def test_mpc_candidates_are_the_generators_uniform_draws(name, box):
+    # The candidates scale the generator's random() onto the input box: the
+    # same bits as Generator.uniform over the box, with the generator left in
+    # the same state. The reward records the (horizon, N, m) block it scores.
+    env = make_env(name)
+    if box is not None:
+        env = replace(env, m=2, input_low=np.array(box[0]), input_high=np.array(box[1]))
+    scored = []
+    env = replace(env, reward=lambda x, u: scored.append(u.copy()) or np.zeros(x.shape[:-1]))
+    mpc = MpcConfig(horizon=7, n_candidates=50)
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        mpc_action(ZeroIncrementModel(), env, np.zeros(env.n), mpc, rng)
+        draws = ref.uniform(env.input_low, env.input_high, size=(50, 7, env.m))
+        assert scored.pop().swapaxes(0, 1).tobytes() == draws.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class MeanOnly:
@@ -195,6 +226,7 @@ def test_block_rollout_breaks_exact_ties_like_the_reference():
     # Rewards rounded to whole numbers tie across many candidates; the lowest
     # index wins in both.
     env = make_scalar_env(lambda x, u: -np.round(np.abs(x[..., 0])))
+    unit_box = make_scalar_env(env.reward, box=(0.0, 1.0))
     for horizon in (1, 4):
         mpc = MpcConfig(horizon=horizon, n_candidates=50)
         states = np.linspace(-3.0, 3.0, 25)[:, None]
@@ -202,7 +234,7 @@ def test_block_rollout_breaks_exact_ties_like_the_reference():
         # Each candidate alternates c, -c, so every visited state rounds to 0.
         first = np.array([0.3, 0.1, 0.2, -0.1])
         seq = first[:, None, None] * (-1.0) ** np.arange(horizon)[None, :, None]
-        u = mpc_action(UnitIncrementModel(), env, np.array([0.0]), MpcConfig(horizon=horizon, n_candidates=4),
+        u = mpc_action(UnitIncrementModel(), unit_box, np.array([0.0]), MpcConfig(horizon=horizon, n_candidates=4),
                        FixedCandidateRng(seq))
         assert u[0] == 0.3
 
