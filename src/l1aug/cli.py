@@ -20,7 +20,6 @@ import os
 import sys
 import traceback
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -29,7 +28,7 @@ import click
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, pool
 from .dynmodel import TrainOptions
 from .envsim import ConfigError, DisturbanceSpec, make_env
 from .l1core import default_l1_config
@@ -262,15 +261,6 @@ def _write_meta(directory: Path, cfg, extra: dict | None = None) -> None:
         fh.write("\n")
 
 
-def _map_jobs(fn, calls: list[tuple], jobs: int):
-    """Yield ``fn(*call)`` for each call in order: in ``jobs`` worker processes when jobs > 1, else here."""
-    if jobs <= 1:
-        yield from map(fn, *zip(*calls))
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(fn, *zip(*calls))
-
-
 # --- run --------------------------------------------------------------------
 
 
@@ -335,7 +325,7 @@ def cmd_run(config_path, seed_override, out_override, jobs):
         directory = out_dir(sub.out)
         records: list[tuple[int, RunRecord]] = []
         try:
-            for seed, record in zip(sub.seeds, _map_jobs(_run_one_seed, [(sub, seed) for seed in sub.seeds], jobs)):
+            for seed, record in zip(sub.seeds, pool.map_jobs(_run_one_seed, [(sub, seed) for seed in sub.seeds], jobs)):
                 records.append((seed, record))
         except Exception:
             _emit_run_outputs(directory, sub, records)
@@ -454,7 +444,7 @@ def cmd_compare(config_path, seed_override, out_override, jobs):
     cells = [(si, seed, use_l1) for si in range(len(cfg.scenarios)) for seed in cfg.seeds for use_l1 in (False, True)]
     try:
         calls = [(cfg, cfg.scenarios[si], seed, use_l1) for si, seed, use_l1 in cells]
-        results = dict(zip(cells, _map_jobs(_compare_cell, calls, jobs)))
+        results = dict(zip(cells, pool.map_jobs(_compare_cell, calls, jobs)))
     except Exception:
         traceback.print_exc()
         sys.exit(EXIT_RUNTIME)

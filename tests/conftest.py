@@ -1,7 +1,10 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
-from l1aug import dynmodel, envsim
+from l1aug import dynmodel, envsim, pool
 from l1aug.affine import reanchor
 
 LINEAR_A = np.array([[0.95, 0.08], [-0.05, 0.9]]) - np.eye(2)
@@ -67,3 +70,35 @@ def pendulum_ensemble():
     ens = dynmodel.make_ensemble(env.n, env.m, hidden=(64, 64), members=3, seed=7)
     trained, _ = dynmodel.train(ens, ds, dynmodel.TrainOptions(max_epochs=60, patience=8, seed=3))
     return env, trained
+
+
+CAN_FORK = "fork" in multiprocessing.get_all_start_methods() and multiprocessing.parent_process() is None
+
+
+def force_training_path(monkeypatch, path):
+    """Make ``train`` fork one worker per member group ("fan-out") or step one lockstep group here ("in-process").
+
+    Skips the test for a fan-out where this process cannot fork.
+    """
+    if path == "fan-out" and not CAN_FORK:
+        pytest.skip("member groups fan out only where this process can fork")
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2 if path == "fan-out" else 1)
+
+
+def training_paths(monkeypatch):
+    """Each path ``train`` can take in this process, forced in turn as it is yielded."""
+    for path in ("fan-out", "in-process") if CAN_FORK else ("in-process",):
+        force_training_path(monkeypatch, path)
+        yield path
+
+
+REAL_FIT_GROUP = dynmodel._fit_group
+
+
+def die_in_first_group(members):
+    """Stand-in for ``dynmodel._fit_group``: member 0's worker dies, the other groups train."""
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("member groups must run in forked workers")
+    if members[0] == 0:
+        os._exit(7)
+    return REAL_FIT_GROUP(members)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
@@ -11,11 +12,13 @@ import yaml
 from click.testing import CliRunner
 
 import l1aug
-from l1aug import cli
+from l1aug import cli, dynmodel
 from l1aug.cli import CompareConfig, RunConfig, VerifyConfig, _from_dict, load_config, resolve_config
 from l1aug.envsim import ConfigError, DisturbanceSpec
 from l1aug.mbrl import EPISODE_COLUMNS, trace_columns
 from l1aug.verify import grid_l1_configs, make_synthetic_spec
+
+from conftest import die_in_first_group, force_training_path
 
 
 # The directory this test run imported l1aug from. A relative PYTHONPATH entry
@@ -285,6 +288,58 @@ def test_cli_run_flushes_earlier_seeds_when_a_seed_raises(tiny_run_cfg, tmp_path
     assert "partial outputs flushed" in result.output
     for name in ("trace.csv", "episodes.csv", "learning_curve.csv"):
         assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+
+def test_cli_run_flushes_earlier_seeds_when_a_member_worker_dies(tiny_run_cfg, tmp_path, monkeypatch):
+    # Seed 1's training fans out, and the worker of member 0 dies: the run
+    # must abort promptly with seed 0's outputs flushed and no worker left.
+    force_training_path(monkeypatch, "fan-out")
+    clean = tmp_path / "clean"
+    assert run_cli(["run", str(tiny_run_cfg), "--out", str(clean), "-s", "0"], cwd=tmp_path).returncode == 0
+    real_train_loop = cli.train_loop
+
+    def train_loop(*args, seed, **kwargs):
+        if seed == 1:
+            monkeypatch.setattr(dynmodel, "_fit_group", die_in_first_group)
+        return real_train_loop(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "train_loop", train_loop)
+    out = tmp_path / "partial"
+    result = CliRunner().invoke(cli.main, ["run", str(tiny_run_cfg), "--out", str(out), "-s", "0", "-s", "1"])
+    assert result.exit_code == 3
+    assert "partial outputs flushed" in result.output
+    assert multiprocessing.active_children() == []
+    for name in ("trace.csv", "episodes.csv", "learning_curve.csv"):
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+
+def test_cli_jobs_never_exceed_the_calls(tiny_run_cfg, tmp_path, monkeypatch):
+    # One seed with --jobs 8 needs no pool; training stays in-process, so any
+    # executor request here would come from the seed map.
+    force_training_path(monkeypatch, "in-process")
+    requested = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers, **kwargs):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    out = tmp_path / "jobs8"
+    result = CliRunner().invoke(cli.main, ["run", str(tiny_run_cfg), "--out", str(out), "-s", "0", "--jobs", "8"])
+    assert result.exit_code == 0, result.output
+    assert all(workers <= 1 for workers in requested)
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_seed_isolation_across_out_dirs(tiny_run_cfg, tmp_path):

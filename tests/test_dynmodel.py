@@ -1,4 +1,8 @@
+import concurrent.futures
+import multiprocessing
+import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from l1aug import dynmodel
+from l1aug import dynmodel, pool
 from l1aug.dynmodel import (
     Ensemble,
     Normalizer,
@@ -25,7 +29,7 @@ from l1aug.dynmodel import (
 )
 from l1aug.envsim import ConfigError
 
-from conftest import linear_increment
+from conftest import CAN_FORK, die_in_first_group, force_training_path, linear_increment, training_paths
 
 
 # --- Normalizer ---------------------------------------------------------------
@@ -182,13 +186,46 @@ def noisy_dataset(rows, seed):
     return ds
 
 
-@pytest.mark.parametrize("poisoned", [0, 1, 2])
-def test_training_divergence_names_member(poisoned):
-    # Members train in lockstep, so a NaN member must not leak into its siblings.
+@pytest.mark.parametrize("poisoned", [[0], [1], [2], [1, 2]], ids=["0", "1", "2", "1-and-2"])
+def test_training_divergence_names_member(monkeypatch, poisoned):
+    # A NaN member must not leak into the members that share its lockstep
+    # buffer; when several diverge at one epoch, the lowest is named, on both paths.
     ens = make_ensemble(1, 1, hidden=(8,), members=3, seed=0)
     ens.weights[0][poisoned] = np.nan
-    with pytest.raises(TrainingDivergenceError, match=f"member {poisoned}:"):
-        train(ens, noisy_dataset(128, 0), TrainOptions(max_epochs=5, seed=0))
+    for _ in training_paths(monkeypatch):
+        with pytest.raises(TrainingDivergenceError, match=f"member {poisoned[0]}:"):
+            train(ens, noisy_dataset(128, 0), TrainOptions(max_epochs=5, seed=0))
+        assert multiprocessing.active_children() == []
+
+
+def diverge_later_in_lower_groups(members):
+    """Stand-in for ``dynmodel._fit_group``: member k's group diverges at epoch 10 - k."""
+    k = int(members[0])
+    return TrainingDivergenceError(f"member {k}: non-finite validation loss at epoch {10 - k}", k, 10 - k)
+
+
+def test_fanned_out_divergence_is_the_earliest_epoch(monkeypatch):
+    # The lockstep loop stops at the first epoch any member diverges, so the
+    # groups' errors are ranked by epoch before member.
+    force_training_path(monkeypatch, "fan-out")
+    monkeypatch.setattr(dynmodel, "_fit_group", diverge_later_in_lower_groups)
+    with pytest.raises(TrainingDivergenceError, match="member 2: non-finite validation loss at epoch 8"):
+        train(make_ensemble(1, 1, hidden=(8,), members=3, seed=0), noisy_dataset(128, 0), TrainOptions(seed=0))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dying_member_worker_fails_training_promptly(monkeypatch):
+    # Member 0's worker exits at once while the other two groups face a
+    # million-epoch fit: the pool must notice the death, stop the survivors
+    # and raise, with every worker joined.
+    force_training_path(monkeypatch, "fan-out")
+    monkeypatch.setattr(dynmodel, "_fit_group", die_in_first_group)
+    opts = TrainOptions(max_epochs=10**6, patience=10**6, seed=0)
+    start = time.monotonic()
+    with pytest.raises(BrokenProcessPool):
+        train(make_ensemble(1, 1, hidden=(8,), members=3, seed=0), noisy_dataset(128, 0), opts)
+    assert time.monotonic() - start < 30.0
+    assert multiprocessing.active_children() == []
 
 
 def test_lockstep_training_keeps_members_independent():
@@ -204,6 +241,14 @@ def test_lockstep_training_keeps_members_independent():
         assert getattr(solo_report, name)[0] == getattr(trio_report, name)[0]
     assert len(set(trio_report.epochs_run)) > 1
     assert max(trio_report.epochs_run) > trio_report.epochs_run[0]
+
+
+def test_workers_run_numpys_openblas_on_one_thread():
+    # A forked worker keeps its parent's BLAS threads, which spin after each
+    # threaded call; member-group workers must find the library to stop that.
+    if not CAN_FORK or "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("needs fork and an OpenBLAS numpy")
+    assert list(pool.map_jobs(pool.one_blas_thread, [(), ()], 2)) == [True, True]
 
 
 class ReferenceAdam:
@@ -294,28 +339,43 @@ def reference_train(ensemble, data, opts):
     ((8,), 4, TrainOptions(lr=3e-3, patience=3, seed=3), True),
 ], ids=["staggered-stops", "batch-7-four-members", "no-hidden-layer", "zero-epochs", "one-member-batch-7",
         "far-apart-stops"])
-def test_train_matches_per_array_reference(hidden, members, opts, staggered):
+def test_train_matches_per_array_reference(monkeypatch, hidden, members, opts, staggered):
     # The flat-buffer Adam, in-place gradients, per-epoch gather and dropping
     # of stopped members reproduce the per-array loop, which keeps stepping
-    # every member, bit for bit; 160 training rows leave a partial last batch
-    # of 6 at batch size 7. The far-apart case stops its members at epochs
-    # 22, 62, 6 and 4.
+    # every member, bit for bit, whether the members train as one lockstep
+    # group here or one group per forked worker (two CPUs: min(members, 4)
+    # workers); 160 training rows leave a partial last batch of 6 at batch
+    # size 7. The far-apart case stops its members at epochs 22, 62, 6 and 4.
+    requested = []
+
+    class RecordingExecutor(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            requested.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     data = noisy_dataset(200, 0)
     ens = make_ensemble(1, 1, hidden=hidden, members=members, seed=3)
     before = [a.copy() for a in ens.weights + ens.biases]
-    trained, report = train(ens, data, opts)
     ref, ref_report = reference_train(ens, data, opts)
-    for a, b in zip(trained.weights + trained.biases, ref.weights + ref.biases):
-        assert a.shape == b.shape and a.flags.c_contiguous
-        assert np.array_equal(a, b)
-    assert report == ref_report
-    assert (len(set(report.epochs_run)) > 1) == staggered
-    for original, kept in zip(before, ens.weights + ens.biases):
-        assert np.array_equal(original, kept)
-        assert not any(np.shares_memory(kept, a) for a in trained.weights + trained.biases)
+    for path in training_paths(monkeypatch):
+        requested.clear()
+        trained, report = train(ens, data, opts)
+        assert multiprocessing.active_children() == []
+        assert requested == ([min(members, 4)] if path == "fan-out" and members > 1 else [])
+        for a, b in zip(trained.weights + trained.biases, ref.weights + ref.biases):
+            assert a.shape == b.shape and a.flags.c_contiguous
+            assert np.array_equal(a, b)
+        assert report == ref_report
+        assert (len(set(report.epochs_run)) > 1) == staggered
+        for original, kept in zip(before, ens.weights + ens.biases):
+            assert np.array_equal(original, kept)
+            assert not any(np.shares_memory(kept, a) for a in trained.weights + trained.biases)
 
 
 def test_training_steps_forward_only_the_members_still_training(monkeypatch):
+    # Forwards are counted in this process, so the members train here as one lockstep group.
+    force_training_path(monkeypatch, "in-process")
     data, opts = noisy_dataset(200, 0), TrainOptions(lr=3e-3, patience=3, seed=3)
     stepped = []
 
@@ -351,10 +411,12 @@ def test_per_member_loss_matches_the_stacked_pass(hidden, members):
             assert _mse(weights, bs, z, y).tobytes() == stacked_mse(weights, bs, z, y).tobytes()
 
 
-def test_train_peak_memory_holds_one_members_activations():
+def test_train_peak_memory_holds_one_members_activations(monkeypatch):
     # 4800 training and 1200 validation rows through a 3x(64, 64) cartpole
     # ensemble: a stacked full-set pass holds every member's two activations
-    # (16.5 MiB traced at the peak), one member at a time 7.0 MiB.
+    # (16.5 MiB traced at the peak), one member at a time 7.0 MiB. tracemalloc
+    # sees this process only, so the members train here as one lockstep group.
+    force_training_path(monkeypatch, "in-process")
     rng = np.random.default_rng(0)
     data = TransitionDataset(4, 1)
     for x, u, dx in zip(rng.normal(size=(6000, 4)), rng.normal(size=(6000, 1)), rng.normal(size=(6000, 4))):
