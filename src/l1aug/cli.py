@@ -135,6 +135,10 @@ class CompareConfig(ExperimentConfig):
     sim_to_real: bool = False
     report_window: int = 5
 
+    def __post_init__(self):
+        if self.report_window < 0:
+            raise ValueError(f"report_window must be >= 0 (0 reports every evaluation), got {self.report_window}")
+
 
 @contextmanager
 def _config_section(path: str):

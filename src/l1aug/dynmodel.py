@@ -217,29 +217,26 @@ def make_ensemble(
 class TransitionDataset:
     """Append-only store of ``[x | u_logged | x_next]`` rows, each its own copy.
 
-    Rows containing non-finite entries are rejected at insertion and counted
-    in ``n_rejected``. Targets are the increments x_next - x.
+    A row with a non-finite entry raises ``ValueError``. Targets are the
+    increments x_next - x.
     """
 
     def __init__(self, n: int, m: int):
         self.n = n
         self.m = m
         self._rows: list[Array] = []
-        self.n_rejected = 0
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def append(self, x: Array, u: Array, x_next: Array) -> bool:
+    def append(self, x: Array, u: Array, x_next: Array) -> None:
         x, u, x_next = (np.asarray(a, dtype=float) for a in (x, u, x_next))
         if x.shape != (self.n,) or u.shape != (self.m,) or x_next.shape != (self.n,):
             raise ValueError("dataset row has wrong dimensions")
         row = np.concatenate([x, u, x_next])
         if not np.isfinite(row).all():
-            self.n_rejected += 1
-            return False
+            raise ValueError(f"dataset row is not finite: {row}")
         self._rows.append(row)
-        return True
 
     def as_arrays(self) -> tuple[Array, Array, Array]:
         """The stored rows as (x, u_logged, x_next) column blocks of one stacked array."""

@@ -2,7 +2,7 @@
 
 Each environment is a smooth vector field integrated with fixed-step RK4 to
 produce discrete transitions x_{t+1} = x_t + dx. Disturbances enter either
-through the true input channel (matched), as actuation noise, or as
+as an offset on the first input (matched), as actuation noise, or as
 observation noise on the reported next state.
 
 The plant is integrated on short lists of Python floats: a step is a few
@@ -39,10 +39,10 @@ class EpisodeDiverged(RuntimeError):
 class EnvSpec:
     """A continuous-time control benchmark with box-bounded state and input.
 
-    ``drift`` is the undisturbed vector field F(x, u): it takes the state and
-    the input as sequences of floats and returns the n rates as a sequence of
-    floats. ``input_matrix`` gives the true input channel B(x) through which
-    matched disturbances enter, as n rows of m floats. Leaving
+    ``drift`` is the vector field F(x, u): it takes the state and the input as
+    sequences of floats and returns the n rates as a sequence of floats. A
+    matched disturbance d enters as F(x, u + d e1), which for a plant affine
+    in u is F(x, u) + B(x) d through the input channel's first column. Leaving
     ``state_low``/``state_high`` terminates the episode with zero reward
     thereafter. ``reward`` must be vectorized over leading axes.
     """
@@ -53,7 +53,6 @@ class EnvSpec:
     dt: float
     horizon: int
     drift: Callable[[Sequence[float], Sequence[float]], Sequence[float]]
-    input_matrix: Callable[[Sequence[float]], Sequence[Sequence[float]]]
     x0_sampler: Callable[[np.random.Generator], Array]
     state_low: Array
     state_high: Array
@@ -105,12 +104,12 @@ class EnvSpec:
 class DisturbanceSpec:
     """What perturbs the system.
 
-    ``kind`` names the structured matched disturbance entering through the
-    input channel (amplitude in input units, frequency in Hz for the
-    sinusoid). ``sigma_a`` and ``sigma_o`` are independent i.i.d. uniform
-    noise half-widths on the actuation and the reported observation; they
-    compose with any kind, and the kinds ``action_noise``/``obs_noise`` are
-    the conventional labels for the pure-noise scenarios.
+    ``kind`` names the matched disturbance, an offset on the first input
+    after the clamp and the actuation noise (amplitude in input units,
+    frequency in Hz for the sinusoid). ``sigma_a`` and ``sigma_o`` are
+    independent i.i.d. uniform noise half-widths on the actuation and the
+    reported observation; they compose with any kind, and the kinds
+    ``action_noise``/``obs_noise`` label the pure-noise scenarios.
     """
 
     kind: str = "none"
@@ -126,8 +125,11 @@ class DisturbanceSpec:
             raise ConfigError("disturbance amplitude, frequency and sigmas must be finite")
         if min(self.amplitude, self.sigma_a, self.sigma_o) < 0:
             raise ConfigError("disturbance amplitudes must be nonnegative")
-        if self.kind in ("action_noise", "obs_noise") and self.amplitude != 0.0:
-            raise ConfigError(f"kind {self.kind!r} takes its size from sigma, not amplitude")
+        # A field the kind never reads would be ignored without a word.
+        if self.amplitude != 0.0 and not self.kind.endswith("_matched"):
+            raise ConfigError(f"kind {self.kind!r} reads no amplitude; noise sizes are sigma_a and sigma_o")
+        if self.frequency != 0.0 and self.kind != "sinusoid_matched":
+            raise ConfigError(f"kind {self.kind!r} reads no frequency")
 
     def matched_value(self, t: float) -> float:
         """Time value of the matched disturbance d(t), zero for noise kinds."""
@@ -168,14 +170,11 @@ def rk4_step(
 
 
 def integrate(env: EnvSpec, dist: DisturbanceSpec, x: Sequence[float], u: Sequence[float], t0: float) -> list[float]:
-    """Advance the disturbed field F(x,u) + B(x) d(t) by one dt via RK4, on floats."""
+    """Advance the disturbed field F(x, u + d(t) e1) by one dt via RK4, on floats."""
 
     def field(t: float, xt: Sequence[float]) -> Sequence[float]:
-        xdot = env.drift(xt, u)
-        d = dist.matched_value(t)
-        if d != 0.0:
-            xdot = [a + row[0] * d for a, row in zip(xdot, env.input_matrix(xt))]
-        return xdot
+        d = dist.matched_value(t)  # d == 0 hands drift ``u`` itself, so an undisturbed step keeps its bits
+        return env.drift(xt, u if d == 0.0 else [u[0] + d, *u[1:]])
 
     h = env.dt / RK4_SUBSTEPS
     for k in range(RK4_SUBSTEPS):
@@ -248,9 +247,6 @@ def double_integrator(dt: float = 0.1, horizon: int = 60) -> EnvSpec:
     def drift(x, u):
         return (x[1], u[0])
 
-    def input_matrix(x):
-        return ((0.0,), (1.0,))
-
     def reward(x, u):
         return -(x[..., 0] ** 2 + 0.1 * x[..., 1] ** 2 + 0.01 * u[..., 0] ** 2)
 
@@ -259,7 +255,7 @@ def double_integrator(dt: float = 0.1, horizon: int = 60) -> EnvSpec:
 
     return EnvSpec(
         name="double_integrator", n=2, m=1, dt=dt, horizon=horizon,
-        drift=drift, input_matrix=input_matrix, x0_sampler=x0_sampler,
+        drift=drift, x0_sampler=x0_sampler,
         state_low=_box(-5.0, -5.0), state_high=_box(5.0, 5.0),
         input_low=_box(-2.0), input_high=_box(2.0), reward=reward,
     )
@@ -279,9 +275,6 @@ def pendulum(
     def drift(x, u):
         return (x[1], -gl * math.sin(x[0]) + inv_ml2 * u[0])
 
-    def input_matrix(x):
-        return ((0.0,), (inv_ml2,))
-
     def reward(x, u):
         return -(x[..., 0] ** 2 + 0.1 * x[..., 1] ** 2 + 0.001 * u[..., 0] ** 2)
 
@@ -290,7 +283,7 @@ def pendulum(
 
     return EnvSpec(
         name="pendulum", n=2, m=1, dt=dt, horizon=horizon,
-        drift=drift, input_matrix=input_matrix, x0_sampler=x0_sampler,
+        drift=drift, x0_sampler=x0_sampler,
         state_low=_box(-math.pi, -8.0), state_high=_box(math.pi, 8.0),
         input_low=_box(-2.0), input_high=_box(2.0), reward=reward,
     )
@@ -328,11 +321,6 @@ def cartpole(
         p_acc = tmp - ml * th_acc * cos_th / total_mass
         return (x[1], p_acc, thdot, th_acc)
 
-    def input_matrix(x):
-        # Accelerations are affine in the force, so a central difference of the
-        # drift is the exact input channel.
-        return [(0.5 * (a - b),) for a, b in zip(drift(x, (1.0,)), drift(x, (-1.0,)))]
-
     def reward(x, u):
         return 1.0 - (x[..., 2] ** 2 + 0.05 * x[..., 0] ** 2 + 0.001 * u[..., 0] ** 2)
 
@@ -341,7 +329,7 @@ def cartpole(
 
     return EnvSpec(
         name="cartpole", n=4, m=1, dt=dt, horizon=horizon,
-        drift=drift, input_matrix=input_matrix, x0_sampler=x0_sampler,
+        drift=drift, x0_sampler=x0_sampler,
         state_low=_box(-2.4, -8.0, -0.6, -8.0), state_high=_box(2.4, 8.0, 0.6, 8.0),
         input_low=_box(-10.0), input_high=_box(10.0), reward=reward,
     )

@@ -299,9 +299,8 @@ def train_loop(
     separate from collection episodes so the two augmentation flags act
     independently; iteration 0 records the untrained-model evaluation. An
     iteration whose dataset is still below ``min_rows`` rows (early
-    terminations) keeps the current model and logs empty losses. Each
-    iteration's losses row also carries the train report's ``initial_val``
-    and ``epochs_run`` and the dataset's ``n_rejected`` count.
+    terminations) keeps the current model and logs empty losses. A losses
+    row also carries the train report's ``initial_val`` and ``epochs_run``.
     """
     record = RunRecord(n=env.n, m=env.m)
     c = step_columns(env.n, env.m)
@@ -325,7 +324,7 @@ def train_loop(
             for row, x_next in zip(result.rows, result.x_next):
                 dataset.append(row[c["x"]], row[c["u_rl"]], x_next)
         losses = {"iteration": iteration, "rows": len(dataset), "train_loss": [], "val_loss": [],
-                  "initial_val": [], "epochs_run": [], "n_rejected": dataset.n_rejected}
+                  "initial_val": [], "epochs_run": []}
         if len(dataset) >= train_opts.min_rows:
             opts = replace(train_opts, seed=train_opts.seed * 1_000_003 + seed * 1_009 + iteration)
             model, report = train(model, dataset, opts)

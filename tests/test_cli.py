@@ -140,6 +140,9 @@ def test_cli_run_invalid_config_exits_1(tmp_path):
     ("compare", {"name": 7}),
     ("run", {"seeds": [0, 0]}),
     ("compare", {"seeds": [0, 0]}),
+    ("run", {"disturbance": {"amplitude": 0.3}}),
+    ("run", {"disturbance": {"kind": "constant_matched", "amplitude": 0.3, "frequency": 0.5}}),
+    ("compare", {"report_window": -2}),
 ])
 def test_cli_invalid_value_is_config_error(tmp_path, command, data):
     # run and compare cases override sections of the tiny experiment key by key, so a

@@ -78,11 +78,12 @@ def test_unnormalize_jacobian_random_diagonals():
 
 def test_dataset_rejects_non_finite_rows():
     ds = TransitionDataset(2, 1)
-    assert ds.append(np.zeros(2), np.zeros(1), np.ones(2))
-    assert not ds.append(np.array([np.nan, 0.0]), np.zeros(1), np.ones(2))
-    assert not ds.append(np.zeros(2), np.array([np.inf]), np.ones(2))
+    ds.append(np.zeros(2), np.zeros(1), np.ones(2))
+    with pytest.raises(ValueError, match="not finite"):
+        ds.append(np.array([np.nan, 0.0]), np.zeros(1), np.ones(2))
+    with pytest.raises(ValueError, match="not finite"):
+        ds.append(np.zeros(2), np.array([np.inf]), np.ones(2))
     assert len(ds) == 1
-    assert ds.n_rejected == 2
 
 
 def test_dataset_round_trip_copies_rows():
@@ -93,10 +94,11 @@ def test_dataset_round_trip_copies_rows():
     rng = np.random.default_rng(3)
     xs, us, xns = rng.normal(size=(3, 2)), rng.normal(size=(3, 1)), rng.normal(size=(3, 2))
     x = xs[0].copy()
-    assert ds.append(x, us[0], xns[0])
-    assert not ds.append(xs[1], us[1], np.array([0.0, np.nan]))
+    ds.append(x, us[0], xns[0])
+    with pytest.raises(ValueError):
+        ds.append(xs[1], us[1], np.array([0.0, np.nan]))
     for i in (1, 2):
-        assert ds.append(xs[i], us[i], xns[i])
+        ds.append(xs[i], us[i], xns[i])
     x[0] = 99.0
     for stored, given in zip(ds.as_arrays(), (xs, us, xns)):
         assert stored.tobytes() == given.tobytes()

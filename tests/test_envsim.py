@@ -106,13 +106,12 @@ def test_rk4_step_evaluates_f_at_t_x_first():
 
 # The array integrator that the float RK4 replaced: the catalog fields over
 # float64 arrays, with numpy's elementwise operations in the same order.
-def _array_fields(name):
+def _array_drift(name):
     if name == "double_integrator":
-        return (lambda x, u: np.stack([x[..., 1], u[..., 0]], axis=-1)), (lambda x: np.array([[0.0], [1.0]]))
+        return lambda x, u: np.stack([x[..., 1], u[..., 0]], axis=-1)
     if name == "pendulum":
         gl, inv_ml2 = 9.81 / 1.0, 1.0 / (1.0 * 1.0**2)
-        return (lambda x, u: np.stack([x[..., 1], -gl * np.sin(x[..., 0]) + inv_ml2 * u[..., 0]], axis=-1),
-                lambda x: np.array([[0.0], [inv_ml2]]))
+        return lambda x, u: np.stack([x[..., 1], -gl * np.sin(x[..., 0]) + inv_ml2 * u[..., 0]], axis=-1)
     total_mass, pole_mass, pole_length, ml = 1.1, 0.1, 0.5, 0.1 * 0.5
 
     def drift(x, u):
@@ -123,8 +122,7 @@ def _array_fields(name):
         p_acc = tmp - ml * th_acc * cos_th / total_mass
         return np.stack([x[..., 1], p_acc, thdot, th_acc], axis=-1)
 
-    e = np.array([1.0])
-    return drift, (lambda x: (0.5 * (drift(x, e) - drift(x, -e))).reshape(-1, 1))
+    return drift
 
 
 def _array_rk4_step(f, t, x, h):
@@ -136,14 +134,16 @@ def _array_rk4_step(f, t, x, h):
 
 
 def _array_step_true(env, dist, x, u, t, rng):
-    drift, input_matrix = _array_fields(env.name)
+    drift = _array_drift(env.name)
 
     def field(tt, xt):
-        xdot = drift(xt, u_exec)
+        # The matched disturbance offsets the first executed input.
         d = dist.matched_value(tt)
-        if d != 0.0:
-            xdot = xdot + input_matrix(xt)[:, 0] * d
-        return xdot
+        if d == 0.0:
+            return drift(xt, u_exec)
+        u_dist = u_exec.copy()
+        u_dist[0] += d
+        return drift(xt, u_dist)
 
     u_cmd = env.clamp_input(u)
     u_exec = u_cmd
@@ -165,15 +165,13 @@ def test_float_fields_match_array_fields_bit_for_bit(name):
     # cos * cos; the two differ in the last bit for about one cosine in 1200, so
     # a field is compared on enough states to see such a rounding.
     env = make_env(name)
-    drift, input_matrix = _array_fields(name)
+    drift = _array_drift(name)
     draws = np.random.default_rng(5)
     xs = draws.uniform(1.5 * env.state_low, 1.5 * env.state_high, size=(40000, env.n))
     us = draws.uniform(1.5 * env.input_low, 1.5 * env.input_high, size=(40000, env.m))
     mismatches = [i for i, (x, u) in enumerate(zip(xs, us))
                   if not np.array_equal(np.array(env.drift(x.tolist(), u.tolist())), drift(x, u))]
     assert mismatches == []
-    for x in xs[:200]:
-        assert np.array_equal(np.array(env.input_matrix(x.tolist())), input_matrix(x))
 
 
 @pytest.mark.parametrize("name", ["double_integrator", "pendulum", "cartpole"])
@@ -201,6 +199,24 @@ def test_float_step_matches_array_integrator_bit_for_bit(name, dist):
         assert isinstance(tr.x_next, np.ndarray) and tr.x_next.dtype == float
 
 
+@pytest.mark.parametrize("name", ["double_integrator", "pendulum", "cartpole"])
+def test_matched_disturbance_is_an_input_offset_after_the_clamp(name):
+    env = make_env(name)
+    dist = DisturbanceSpec(kind="constant_matched", amplitude=0.3)
+    draws = np.random.default_rng(3)
+    for _ in range(50):
+        x = draws.uniform(env.state_low, env.state_high)
+        # Inside the box, the disturbed step is the undisturbed one at u + d, bit for bit.
+        u = draws.uniform(env.input_low, env.input_high - dist.amplitude)
+        shifted = step_true(env, DisturbanceSpec(), x, u + dist.amplitude, 0, np.random.default_rng(0))
+        assert np.array_equal(step_true(env, dist, x, u, 0, np.random.default_rng(0)).x_next_true,
+                              shifted.x_next_true)
+        # At the box edge, d is added after the clamp, so the clamped u + d is a different step.
+        edge = step_true(env, dist, x, env.input_high, 0, np.random.default_rng(0))
+        clamped = step_true(env, DisturbanceSpec(), x, env.input_high + dist.amplitude, 0, np.random.default_rng(0))
+        assert not np.array_equal(edge.x_next_true, clamped.x_next_true)
+
+
 @pytest.mark.parametrize("name,x", [("cartpole", [0.0, 0.0, 0.0, 1e200]), ("pendulum", [0.0, 1e308]),
                                     ("cartpole", [0.0, 0.0, 1e308, 1e308]), ("double_integrator", [0.0, 1e308])])
 def test_overflowing_state_is_episode_diverged(name, x, rng):
@@ -214,7 +230,7 @@ def test_float_power_overflow_is_episode_diverged(rng):
     # A field written with float ** raises OverflowError instead of returning inf.
     env = envsim.EnvSpec(
         name="power", n=1, m=1, dt=0.1, horizon=5,
-        drift=lambda x, u: (x[0] ** 2,), input_matrix=lambda x: ((1.0,),),
+        drift=lambda x, u: (x[0] ** 2,),
         x0_sampler=lambda rng: np.zeros(1),
         state_low=np.array([-1e300]), state_high=np.array([1e300]),
         input_low=np.array([-1.0]), input_high=np.array([1.0]),
@@ -322,6 +338,10 @@ def test_bad_disturbance_kind_rejected():
         DisturbanceSpec(kind="wind")
     with pytest.raises(ConfigError):
         DisturbanceSpec(kind="action_noise", sigma_a=-0.1)
+    with pytest.raises(ConfigError, match="reads no amplitude"):
+        DisturbanceSpec(amplitude=0.3)
+    with pytest.raises(ConfigError, match="reads no frequency"):
+        DisturbanceSpec(kind="constant_matched", amplitude=0.3, frequency=0.5)
 
 
 def test_sinusoid_matched_value():

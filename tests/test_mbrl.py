@@ -39,7 +39,6 @@ def make_scalar_env(reward, horizon=10, box=(-2.0, 2.0)):
     return envsim.EnvSpec(
         name="scalar", n=1, m=1, dt=1.0, horizon=horizon,
         drift=lambda x, u: (u[0],),
-        input_matrix=lambda x: np.array([[1.0]]),
         x0_sampler=lambda rng: np.array([1.0]),
         state_low=np.array([-100.0]), state_high=np.array([100.0]),
         input_low=np.array([box[0]]), input_high=np.array([box[1]]),
@@ -302,7 +301,7 @@ def test_run_episode_terminates_on_leaving_state_box():
     env = make_env("double_integrator", {"horizon": 50})
     env = envsim.EnvSpec(
         name=env.name, n=env.n, m=env.m, dt=env.dt, horizon=50,
-        drift=env.drift, input_matrix=env.input_matrix,
+        drift=env.drift,
         x0_sampler=lambda rng: np.array([4.9, 2.0]),  # exits x1 < 5 quickly
         state_low=env.state_low, state_high=env.state_high,
         input_low=env.input_low, input_high=env.input_high, reward=env.reward,
@@ -333,7 +332,6 @@ def test_divergence_keeps_partial_rows_and_counts_only_their_switches(tmp_path):
     env = envsim.EnvSpec(
         name="diverging", n=1, m=1, dt=0.1, horizon=10,
         drift=lambda x, u: np.ones(1) if x[0] < 0.33 else np.full(1, np.nan),
-        input_matrix=lambda x: np.array([[1.0]]),
         x0_sampler=lambda rng: np.zeros(1),
         state_low=np.array([-10.0]), state_high=np.array([10.0]),
         input_low=np.array([-1.0]), input_high=np.array([1.0]),
@@ -470,7 +468,7 @@ def test_train_loop_skips_retrain_below_min_rows():
     record, model = train_loop(env, DisturbanceSpec(), loop, MpcConfig(horizon=3, n_candidates=8),
                                default_l1_config(2, env.dt, 0.3), train_opts=opts, members=2, hidden=(8,), seed=4)
     assert record.iteration_losses == [{"iteration": 1, "rows": len(record.dataset), "train_loss": [], "val_loss": [],
-                                        "initial_val": [], "epochs_run": [], "n_rejected": 0}]
+                                        "initial_val": [], "epochs_run": []}]
     assert len(record.dataset) < opts.min_rows
     assert set(record.eval_returns) == {0, 1}
     untrained = make_ensemble(2, 1, hidden=(8,), members=2, seed=4)
@@ -491,8 +489,7 @@ def _tiny_loop_record(l1_train, l1_test, seed=5):
 def test_train_loop_logs_the_train_report():
     record = _tiny_loop_record(True, True)
     (row,) = record.iteration_losses
-    assert set(row) == {"iteration", "rows", "train_loss", "val_loss", "initial_val", "epochs_run", "n_rejected"}
-    assert row["n_rejected"] == record.dataset.n_rejected
+    assert set(row) == {"iteration", "rows", "train_loss", "val_loss", "initial_val", "epochs_run"}
     assert len(row["initial_val"]) == len(row["val_loss"]) == 3
     assert all(isinstance(e, int) and 1 <= e <= 5 for e in row["epochs_run"])
     assert all(best <= init for best, init in zip(row["val_loss"], row["initial_val"]))
