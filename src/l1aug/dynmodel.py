@@ -2,10 +2,11 @@
 
 Members are small tanh MLPs, stored once as stacked per-layer arrays and
 trained with Adam on normalized inputs (x, u) and targets dx = x_next - x,
-in lockstep groups that run side by side in forked workers when a second
-CPU is free. The control-affinization step consumes the mean prediction
-and its input Jacobian, an exact chain rule through the layers unnormalized
-by the stored statistics.
+in lockstep groups mapped through ``pool.map_jobs``: side by side in worker
+processes when a second CPU is free, otherwise as one group here. The
+control-affinization step consumes the mean prediction and its input
+Jacobian, an exact chain rule through the layers unnormalized by the stored
+statistics.
 """
 
 from __future__ import annotations
@@ -351,7 +352,7 @@ def _grads(weights: list[Array], z: Array, delta: Array, acts: list[Array],
 
 
 def _fit(ensemble: Ensemble, members: Array, z_tr: Array, y_tr: Array, z_val: Array, y_val: Array,
-         opts: TrainOptions) -> tuple[Array, Array, Array, Array]:
+         opts: TrainOptions) -> tuple[Array, Array, Array, Array] | TrainingDivergenceError:
     """Adam epochs with early stopping for the ``members`` of ``ensemble``, over one buffer.
 
     The (len(members), P) buffer holds only the members still training: a
@@ -361,8 +362,9 @@ def _fit(ensemble: Ensemble, members: Array, z_tr: Array, y_tr: Array, z_val: Ar
     messages use the original member index. Members never interact, so each
     one's bits do not depend on which others share its buffer. Returns the
     initial and best validation losses, the best-weight buffer and the epochs
-    each member ran, in the order of ``members``. The epoch's buffers are freed
-    on return, before the caller's full-set loss.
+    each member ran, in the order of ``members``, or the divergence, returned
+    rather than raised so that ``train`` can rank every group's. The epoch's
+    buffers are freed on return, before the caller's full-set loss.
     """
     flat = np.concatenate([a[members].reshape(len(members), -1) for pair in zip(ensemble.weights, ensemble.biases)
                            for a in pair], axis=1)
@@ -390,8 +392,8 @@ def _fit(ensemble: Ensemble, members: Array, z_tr: Array, y_tr: Array, z_val: Ar
         epochs_run[live] = epoch
         if not np.isfinite(val_loss).all():
             member = int(members[live[np.argmin(np.isfinite(val_loss))]])
-            raise TrainingDivergenceError(f"member {member}: non-finite validation loss at epoch {epoch}",
-                                          member, epoch)
+            return TrainingDivergenceError(f"member {member}: non-finite validation loss at epoch {epoch}",
+                                           member, epoch)
         improved = val_loss < best_val[live]
         best_val[live[improved]] = val_loss[improved]
         best_epoch[live[improved]] = epoch
@@ -403,48 +405,22 @@ def _fit(ensemble: Ensemble, members: Array, z_tr: Array, y_tr: Array, z_val: Ar
     return initial_val, best_val, best, epochs_run
 
 
-# The ensemble, normalized splits and options of the ``train`` call that forked
-# this worker; set only in member-group workers, by ``_inherit``.
-_inherited: tuple = ()
-
-
-def _inherit(*inputs) -> None:
-    """Member-group worker set-up: keep the forked ``train`` call's inputs, and one BLAS thread."""
-    global _inherited
-    _inherited = inputs
-    pool.one_blas_thread()
-
-
-def _fit_group(members: Array):
-    """One group's ``_fit`` in a forked worker; a divergence is returned, not raised.
-
-    Returning it lets ``train`` wait for every group and name the divergence
-    the lockstep loop would have met first.
-    """
-    ensemble, *splits, opts = _inherited
-    try:
-        return _fit(ensemble, members, *splits, opts)
-    except TrainingDivergenceError as exc:
-        return exc
-
-
 def train(ensemble: Ensemble, data: TransitionDataset, opts: TrainOptions) -> tuple[Ensemble, TrainReport]:
     """Train every member on the normalized increment loss with early stopping.
 
     The normalizer is refit on the training split only. Each member steps on
     its own shuffle stream; a member that stops leaves the stacked step, and
-    each member's best-validation weights are restored. With a second usable
-    CPU, the members split into ``min(members, 2 x CPUs)`` groups, each trained
-    by ``_fit`` in its own forked worker that inherits the splits instead of
-    receiving a pickled copy; otherwise, and inside a pool worker, one
-    lockstep group trains here. Members never interact, so both paths give
-    the same bits, and the divergence raised is the lockstep loop's: the
-    earliest epoch, then the lowest member. Within a group the layer arrays
-    train as views of one (members, P) buffer, which Adam and the best-weight
-    snapshot treat whole, and each epoch gathers every training member's
-    shuffled rows once. The full-set losses run one member at a time. Returns
-    a new Ensemble, with contiguous copies of the best weights, bound to the
-    refit normalizer plus per-member losses.
+    each member's best-validation weights are restored. The members split
+    into ``min(members, 2 x CPUs)`` groups with a second usable CPU, else one,
+    and ``pool.map_jobs`` runs ``_fit`` on each, one worker per group; a single
+    group, as inside a pool worker, trains here. Members never interact, so
+    the bits do not depend on the grouping, and the divergence raised is the
+    lockstep loop's: the earliest epoch, then the lowest member. Within a
+    group the layer arrays train as views of one (members, P) buffer, which
+    Adam and the best-weight snapshot treat whole, and each epoch gathers
+    every training member's shuffled rows once. The full-set losses run one
+    member at a time. Returns a new Ensemble, with contiguous copies of the
+    best weights, bound to the refit normalizer plus per-member losses.
     """
     if len(data) == 0:
         raise ConfigError("training dataset is empty")
@@ -469,15 +445,11 @@ def train(ensemble: Ensemble, data: TransitionDataset, opts: TrainOptions) -> tu
 
     members, cpus = np.arange(len(ensemble.weights[0])), pool.usable_cpus()
     groups = np.array_split(members, min(len(members), 2 * cpus)) if cpus > 1 else [members]
-    if len(groups) == 1:
-        initial_val, best_val, best, epochs_run = _fit(ensemble, groups[0], z_tr, y_tr, z_val, y_val, opts)
-    else:
-        fits = list(pool.map_jobs(_fit_group, [(g,) for g in groups], len(groups),
-                                  initializer=_inherit, initargs=(ensemble, z_tr, y_tr, z_val, y_val, opts)))
-        diverged = [fit for fit in fits if isinstance(fit, TrainingDivergenceError)]
-        if diverged:
-            raise min(diverged, key=lambda exc: (exc.epoch, exc.member))
-        initial_val, best_val, best, epochs_run = (np.concatenate(parts) for parts in zip(*fits))
+    fits = list(pool.map_jobs(_fit, [(ensemble, g, z_tr, y_tr, z_val, y_val, opts) for g in groups], len(groups)))
+    diverged = [fit for fit in fits if isinstance(fit, TrainingDivergenceError)]
+    if diverged:
+        raise min(diverged, key=lambda exc: (exc.epoch, exc.member))
+    initial_val, best_val, best, epochs_run = (np.concatenate(parts) for parts in zip(*fits))
     weights, biases = ([a.copy() for a in views] for views in _layer_views(best, ensemble.weights))
     final_train = _mse(weights, biases, z_tr, y_tr)
     if not np.isfinite(final_train).all():

@@ -130,6 +130,11 @@ class DisturbanceSpec:
             raise ConfigError(f"kind {self.kind!r} reads no amplitude; noise sizes are sigma_a and sigma_o")
         if self.frequency != 0.0 and self.kind != "sinusoid_matched":
             raise ConfigError(f"kind {self.kind!r} reads no frequency")
+        # A matched kind that never disturbs would run undisturbed without a word.
+        if self.kind.endswith("_matched") and self.amplitude == 0.0:
+            raise ConfigError(f"kind {self.kind!r} needs an amplitude > 0")
+        if self.kind == "sinusoid_matched" and self.frequency == 0.0:
+            raise ConfigError("kind 'sinusoid_matched' needs a nonzero frequency")
 
     def matched_value(self, t: float) -> float:
         """Time value of the matched disturbance d(t), zero for noise kinds."""

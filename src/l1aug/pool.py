@@ -1,7 +1,7 @@
 """One process-pool map, shared by training's member groups and the CLI's ``--jobs``.
 
-Workers are forked where the platform can fork, so they inherit the caller's
-memory, including an ``initializer``'s arguments, without pickling it.
+Workers are forked where the platform can fork, and each runs OpenBLAS on one
+thread; the calls and their results travel by pickle.
 """
 
 from __future__ import annotations
@@ -56,14 +56,14 @@ def one_blas_thread() -> bool:
     return False
 
 
-def map_jobs(fn, calls: list[tuple], jobs: int, initializer=None, initargs: tuple = ()):
+def map_jobs(fn, calls: list[tuple], jobs: int):
     """Yield ``fn(*call)`` for each call in order.
 
     With more than one call and ``jobs`` above 1 the calls run in
     ``min(jobs, len(calls))`` worker processes, each of which first runs
-    ``initializer(*initargs)``; otherwise they run here, with no initializer.
-    Every worker has been joined when the generator finishes or raises, also
-    when a worker dies.
+    ``one_blas_thread``; otherwise they run here, leaving this process's BLAS
+    threads alone. Every worker has been joined when the generator finishes
+    or raises, also when a worker dies.
     """
     workers = min(jobs, len(calls))
     if workers <= 1:
@@ -72,7 +72,7 @@ def map_jobs(fn, calls: list[tuple], jobs: int, initializer=None, initargs: tupl
     context = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
     # concurrent.futures imports its process pool on first use, so a run that
     # starts no pool does not load it (0.2 MiB of peak RSS in `l1aug verify`).
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=context, initializer=initializer,
-                                                initargs=initargs) as executor:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                                                initializer=one_blas_thread) as executor:
         for future in [executor.submit(fn, *call) for call in calls]:
             yield future.result()

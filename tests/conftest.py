@@ -92,13 +92,13 @@ def training_paths(monkeypatch):
         yield path
 
 
-REAL_FIT_GROUP = dynmodel._fit_group
+REAL_FIT = dynmodel._fit
 
 
-def die_in_first_group(members):
-    """Stand-in for ``dynmodel._fit_group``: member 0's worker dies, the other groups train."""
+def die_in_first_group(ensemble, members, *splits):
+    """Stand-in for ``dynmodel._fit``: member 0's worker dies, the other groups train."""
     if multiprocessing.parent_process() is None:
         raise AssertionError("member groups must run in forked workers")
     if members[0] == 0:
         os._exit(7)
-    return REAL_FIT_GROUP(members)
+    return REAL_FIT(ensemble, members, *splits)

@@ -143,6 +143,8 @@ def test_cli_run_invalid_config_exits_1(tmp_path):
     ("run", {"disturbance": {"amplitude": 0.3}}),
     ("run", {"disturbance": {"kind": "constant_matched", "amplitude": 0.3, "frequency": 0.5}}),
     ("compare", {"report_window": -2}),
+    ("run", {"disturbance": {"kind": "constant_matched"}}),
+    ("run", {"disturbance": {"kind": "sinusoid_matched", "amplitude": 0.3}}),
 ])
 def test_cli_invalid_value_is_config_error(tmp_path, command, data):
     # run and compare cases override sections of the tiny experiment key by key, so a
@@ -303,7 +305,7 @@ def test_cli_run_flushes_earlier_seeds_when_a_member_worker_dies(tiny_run_cfg, t
 
     def train_loop(*args, seed, **kwargs):
         if seed == 1:
-            monkeypatch.setattr(dynmodel, "_fit_group", die_in_first_group)
+            monkeypatch.setattr(dynmodel, "_fit", die_in_first_group)
         return real_train_loop(*args, seed=seed, **kwargs)
 
     monkeypatch.setattr(cli, "train_loop", train_loop)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import ctypes
 import multiprocessing
 import time
 import tracemalloc
@@ -200,8 +201,8 @@ def test_training_divergence_names_member(monkeypatch, poisoned):
         assert multiprocessing.active_children() == []
 
 
-def diverge_later_in_lower_groups(members):
-    """Stand-in for ``dynmodel._fit_group``: member k's group diverges at epoch 10 - k."""
+def diverge_later_in_lower_groups(ensemble, members, *splits):
+    """Stand-in for ``dynmodel._fit``: member k's group diverges at epoch 10 - k."""
     k = int(members[0])
     return TrainingDivergenceError(f"member {k}: non-finite validation loss at epoch {10 - k}", k, 10 - k)
 
@@ -210,7 +211,7 @@ def test_fanned_out_divergence_is_the_earliest_epoch(monkeypatch):
     # The lockstep loop stops at the first epoch any member diverges, so the
     # groups' errors are ranked by epoch before member.
     force_training_path(monkeypatch, "fan-out")
-    monkeypatch.setattr(dynmodel, "_fit_group", diverge_later_in_lower_groups)
+    monkeypatch.setattr(dynmodel, "_fit", diverge_later_in_lower_groups)
     with pytest.raises(TrainingDivergenceError, match="member 2: non-finite validation loss at epoch 8"):
         train(make_ensemble(1, 1, hidden=(8,), members=3, seed=0), noisy_dataset(128, 0), TrainOptions(seed=0))
     assert multiprocessing.active_children() == []
@@ -221,7 +222,7 @@ def test_a_dying_member_worker_fails_training_promptly(monkeypatch):
     # million-epoch fit: the pool must notice the death, stop the survivors
     # and raise, with every worker joined.
     force_training_path(monkeypatch, "fan-out")
-    monkeypatch.setattr(dynmodel, "_fit_group", die_in_first_group)
+    monkeypatch.setattr(dynmodel, "_fit", die_in_first_group)
     opts = TrainOptions(max_epochs=10**6, patience=10**6, seed=0)
     start = time.monotonic()
     with pytest.raises(BrokenProcessPool):
@@ -245,12 +246,32 @@ def test_lockstep_training_keeps_members_independent():
     assert max(trio_report.epochs_run) > trio_report.epochs_run[0]
 
 
+OPENBLAS_GET_THREADS = tuple(name.replace("_set_", "_get_") for name in pool.OPENBLAS_SET_THREADS)
+
+
+def openblas_threads():
+    """This process's OpenBLAS thread count, read the way ``pool.one_blas_thread`` finds its setter."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1].lower()}
+    for path in sorted(paths):
+        for name in OPENBLAS_GET_THREADS:
+            getter = getattr(ctypes.CDLL(path), name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    return None
+
+
 def test_workers_run_numpys_openblas_on_one_thread():
     # A forked worker keeps its parent's BLAS threads, which spin after each
-    # threaded call; member-group workers must find the library to stop that.
+    # threaded call; every map_jobs worker, for member groups and --jobs
+    # alike, must run one, and the parent must keep its own.
     if not CAN_FORK or "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
         pytest.skip("needs fork and an OpenBLAS numpy")
-    assert list(pool.map_jobs(pool.one_blas_thread, [(), ()], 2)) == [True, True]
+    parent = openblas_threads()
+    assert parent is not None
+    assert list(pool.map_jobs(openblas_threads, [(), ()], 2)) == [1, 1]
+    assert openblas_threads() == parent
 
 
 class ReferenceAdam:
@@ -373,6 +394,25 @@ def test_train_matches_per_array_reference(monkeypatch, hidden, members, opts, s
         for original, kept in zip(before, ens.weights + ens.biases):
             assert np.array_equal(original, kept)
             assert not any(np.shares_memory(kept, a) for a in trained.weights + trained.biases)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("in-process training must start no pool and leave this process's BLAS threads alone")
+
+
+def test_in_process_training_starts_no_pool_and_keeps_the_blas_threads(monkeypatch):
+    # With one usable CPU the single member group goes through map_jobs
+    # inline: no executor is built and one_blas_thread never runs here.
+    force_training_path(monkeypatch, "in-process")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(pool, "one_blas_thread", refuse)
+    data, opts = noisy_dataset(200, 0), TrainOptions(lr=1e-2, patience=3, seed=0)
+    ens = make_ensemble(1, 1, hidden=(16, 16), members=3, seed=3)
+    ref, ref_report = reference_train(ens, data, opts)
+    trained, report = train(ens, data, opts)
+    assert report == ref_report
+    for a, b in zip(trained.weights + trained.biases, ref.weights + ref.biases):
+        assert np.array_equal(a, b)
 
 
 def test_training_steps_forward_only_the_members_still_training(monkeypatch):

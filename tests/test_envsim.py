@@ -342,6 +342,11 @@ def test_bad_disturbance_kind_rejected():
         DisturbanceSpec(amplitude=0.3)
     with pytest.raises(ConfigError, match="reads no frequency"):
         DisturbanceSpec(kind="constant_matched", amplitude=0.3, frequency=0.5)
+    for kind in ("constant_matched", "sinusoid_matched"):
+        with pytest.raises(ConfigError, match="needs an amplitude > 0"):
+            DisturbanceSpec(kind=kind, frequency=0.5 if kind == "sinusoid_matched" else 0.0)
+    with pytest.raises(ConfigError, match="needs a nonzero frequency"):
+        DisturbanceSpec(kind="sinusoid_matched", amplitude=0.3)
 
 
 def test_sinusoid_matched_value():
