@@ -7,7 +7,8 @@ Commands:
 
 Every run directory receives a meta.json echoing the fully resolved config,
 so a run is reproducible from its own outputs. Exit codes: 0 success,
-1 config error, 2 criterion failure, 3 runtime abort.
+1 config error (click's usage errors included), 2 criterion failure,
+3 runtime abort.
 """
 
 from __future__ import annotations
@@ -220,11 +221,8 @@ def _build_pieces(cfg: ExperimentConfig):
     return env, l1cfg, opts
 
 
-def resolve_config(cfg: ExperimentConfig, seed_override: tuple[int, ...] = (), out_override: str | None = None,
-                   jobs: int = 1):
-    """Fill in the eps_a, out and seed defaults of a run or compare config; check it builds and jobs >= 1."""
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+def resolve_config(cfg: ExperimentConfig, seed_override: tuple[int, ...] = (), out_override: str | None = None):
+    """Fill in the eps_a, out and seed defaults of a run or compare config and check that it builds."""
     if cfg.l1.eps_a is None:
         cfg.l1.eps_a = EPS_A_DEFAULTS.get(cfg.env.name, 0.3)
     if out_override:
@@ -275,12 +273,13 @@ def _run_one_seed(cfg: RunConfig, seed: int) -> RunRecord:
     return record
 
 
-def _emit_run_outputs(directory: Path, cfg: RunConfig, records: list[tuple[int, RunRecord]]) -> None:
+def _emit_run_outputs(directory: Path, cfg: RunConfig, records: list[RunRecord]) -> None:
+    """Write the run files for ``records``, the first seeds of ``cfg.seeds`` in order; nothing if there are none."""
     if not records:
         return
-    merged = RunRecord(n=records[0][1].n, m=records[0][1].m)
+    merged = RunRecord(n=records[0].n, m=records[0].m)
     curve_rows = []
-    for seed, record in records:
+    for seed, record in zip(cfg.seeds, records):
         merged.episodes.extend(record.episodes)
         merged.iteration_losses.extend(dict(row, seed=seed) for row in record.iteration_losses)
         for iteration, returns in record.eval_returns.items():
@@ -306,7 +305,47 @@ def _grid_variants(cfg: RunConfig) -> list[RunConfig]:
     return variants
 
 
-@click.group()
+def _map_and_flush(fn, calls: list[tuple], flush) -> None:
+    """Pass ``fn(*call)`` for every call, spread over the usable CPUs, to ``flush`` in call order.
+
+    If a call raises or a worker dies, ``flush`` gets the results that came
+    back before the first one lost, in call order, and the command exits 3.
+    """
+    results = []
+    try:
+        for result in pool.map_jobs(fn, calls, pool.usable_cpus()):
+            results.append(result)
+    except Exception:
+        flush(results)
+        click.echo("runtime abort; partial outputs flushed", err=True)
+        traceback.print_exc()
+        sys.exit(EXIT_RUNTIME)
+    flush(results)
+
+
+@contextmanager
+def _usage_error_is_config_error():
+    """Give a click usage error (unknown option, missing or malformed argument) exit code 1, not click's 2."""
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_CONFIG
+        raise
+
+
+class _Main(click.Group):
+    """The command group, whose usage errors exit as config errors: 2 means a failed criterion."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_error_is_config_error():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_error_is_config_error():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__)
 def main():
     """Adaptive-augmentation experiments for model-based RL."""
@@ -316,27 +355,17 @@ def main():
 @click.argument("config_path", type=click.Path())
 @click.option("--seed-override", "-s", multiple=True, type=int, help="Replace the config seed list.")
 @click.option("--out", "out_override", default=None, help="Override the output directory.")
-@click.option("--jobs", default=1, show_default=True, help="Worker processes across seeds.")
-def cmd_run(config_path, seed_override, out_override, jobs):
+def cmd_run(config_path, seed_override, out_override):
     """Execute the train-and-evaluate loop for every seed in the config."""
     try:
-        cfg = resolve_config(load_config(RunConfig, config_path), seed_override, out_override, jobs)
+        cfg = resolve_config(load_config(RunConfig, config_path), seed_override, out_override)
     except ConfigError as exc:
         _config_error(exc)
 
-    configs = _grid_variants(cfg) if cfg.ablation_grid else [cfg]
-    for sub in configs:
+    for sub in _grid_variants(cfg) if cfg.ablation_grid else [cfg]:
         directory = out_dir(sub.out)
-        records: list[tuple[int, RunRecord]] = []
-        try:
-            for seed, record in zip(sub.seeds, pool.map_jobs(_run_one_seed, [(sub, seed) for seed in sub.seeds], jobs)):
-                records.append((seed, record))
-        except Exception:
-            _emit_run_outputs(directory, sub, records)
-            click.echo("runtime abort; partial outputs flushed", err=True)
-            traceback.print_exc()
-            sys.exit(EXIT_RUNTIME)
-        _emit_run_outputs(directory, sub, records)
+        _map_and_flush(_run_one_seed, [(sub, seed) for seed in sub.seeds],
+                       lambda records: _emit_run_outputs(directory, sub, records))
         click.echo(f"wrote {directory}")
     sys.exit(EXIT_OK)
 
@@ -430,49 +459,52 @@ def _sign_test_p(wins: int, losses: int) -> float:
     return min(1.0, 2.0 * tail)
 
 
+def _scenario_label(s: DisturbanceSpec) -> str:
+    bits = [s.kind]
+    for key in ("amplitude", "frequency", "sigma_a", "sigma_o"):
+        if getattr(s, key):
+            bits.append(f"{key}={getattr(s, key):g}")
+    return "_".join(bits)
+
+
+def _emit_comparison(directory: Path, cfg: CompareConfig, returns: list[float]) -> None:
+    """Write comparison.csv and meta.json; ``returns`` are the first cells in scenario, seed, arm order.
+
+    A scenario gets its rows only when all of its cells are in ``returns``.
+    """
+    rows = [["scenario", "arm", "mean_return", "std_return", "n_seeds", "l1_wins", "l1_losses", "sign_p"]]
+    per_scenario = 2 * len(cfg.seeds)
+    for si, scenario in enumerate(cfg.scenarios[:len(returns) // per_scenario]):
+        cells = returns[si * per_scenario:(si + 1) * per_scenario]
+        base, aug = cells[0::2], cells[1::2]  # each seed's baseline cell comes before its augmented one
+        wins = sum(a > b for a, b in zip(aug, base))
+        losses = sum(a < b for a, b in zip(aug, base))
+        p = _sign_test_p(wins, losses)
+        for arm, vals in (("baseline", base), ("l1", aug)):
+            rows.append([_scenario_label(scenario), arm, float(np.mean(vals)), float(np.std(vals)), len(vals),
+                         wins, losses, p])
+    with open(directory / "comparison.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    _write_meta(directory, cfg)
+
+
 @main.command("compare")
 @click.argument("config_path", type=click.Path())
 @click.option("--seed-override", "-s", multiple=True, type=int, help="Replace the config seed list.")
 @click.option("--out", "out_override", default=None, help="Override the output directory.")
-@click.option("--jobs", default=1, show_default=True, help="Worker processes across cells.")
-def cmd_compare(config_path, seed_override, out_override, jobs):
+def cmd_compare(config_path, seed_override, out_override):
     """Paired baseline-vs-augmented runs per scenario on shared seeds."""
     try:
-        cfg = resolve_config(load_config(CompareConfig, config_path), seed_override, out_override, jobs)
+        cfg = resolve_config(load_config(CompareConfig, config_path), seed_override, out_override)
         if not cfg.scenarios:
             raise ConfigError("scenarios must be a non-empty list")
     except ConfigError as exc:
         _config_error(exc)
 
     directory = out_dir(cfg.out)
-    cells = [(si, seed, use_l1) for si in range(len(cfg.scenarios)) for seed in cfg.seeds for use_l1 in (False, True)]
-    try:
-        calls = [(cfg, cfg.scenarios[si], seed, use_l1) for si, seed, use_l1 in cells]
-        results = dict(zip(cells, pool.map_jobs(_compare_cell, calls, jobs)))
-    except Exception:
-        traceback.print_exc()
-        sys.exit(EXIT_RUNTIME)
-
-    def scenario_label(s: DisturbanceSpec) -> str:
-        bits = [s.kind]
-        for key in ("amplitude", "frequency", "sigma_a", "sigma_o"):
-            if getattr(s, key):
-                bits.append(f"{key}={getattr(s, key):g}")
-        return "_".join(bits)
-
-    rows = [["scenario", "arm", "mean_return", "std_return", "n_seeds", "l1_wins", "l1_losses", "sign_p"]]
-    for si, scenario in enumerate(cfg.scenarios):
-        base = [results[(si, seed, False)] for seed in cfg.seeds]
-        aug = [results[(si, seed, True)] for seed in cfg.seeds]
-        wins = sum(a > b for a, b in zip(aug, base))
-        losses = sum(a < b for a, b in zip(aug, base))
-        p = _sign_test_p(wins, losses)
-        label = scenario_label(scenario)
-        for arm, vals in (("baseline", base), ("l1", aug)):
-            rows.append([label, arm, float(np.mean(vals)), float(np.std(vals)), len(vals), wins, losses, p])
-    with open(directory / "comparison.csv", "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
-    _write_meta(directory, cfg)
+    calls = [(cfg, scenario, seed, use_l1) for scenario in cfg.scenarios for seed in cfg.seeds
+             for use_l1 in (False, True)]
+    _map_and_flush(_compare_cell, calls, lambda returns: _emit_comparison(directory, cfg, returns))
     click.echo(f"wrote {directory / 'comparison.csv'}")
     sys.exit(EXIT_OK)
 

@@ -1,4 +1,4 @@
-"""One process-pool map, shared by training's member groups and the CLI's ``--jobs``.
+"""One process-pool map, shared by training's member groups and the CLI's seeds and comparison cells.
 
 Workers are forked where the platform can fork, and each runs OpenBLAS on one
 thread; the calls and their results travel by pickle.

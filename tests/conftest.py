@@ -75,14 +75,23 @@ def pendulum_ensemble():
 CAN_FORK = "fork" in multiprocessing.get_all_start_methods() and multiprocessing.parent_process() is None
 
 
+def force_usable_cpus(monkeypatch, cpus):
+    """Make ``pool.usable_cpus`` report ``cpus`` here and, as it does, 1 inside a pool worker.
+
+    Skips the test for more than one CPU where this process cannot fork.
+    """
+    if cpus > 1 and not CAN_FORK:
+        pytest.skip("pool maps fork workers only where this process can fork")
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 1 if multiprocessing.parent_process() else cpus)
+
+
 def force_training_path(monkeypatch, path):
     """Make ``train`` fork one worker per member group ("fan-out") or step one lockstep group here ("in-process").
 
+    The CLI's seed and cell maps see the same CPU count: two workers, or none.
     Skips the test for a fan-out where this process cannot fork.
     """
-    if path == "fan-out" and not CAN_FORK:
-        pytest.skip("member groups fan out only where this process can fork")
-    monkeypatch.setattr(pool, "usable_cpus", lambda: 2 if path == "fan-out" else 1)
+    force_usable_cpus(monkeypatch, 2 if path == "fan-out" else 1)
 
 
 def training_paths(monkeypatch):

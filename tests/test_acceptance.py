@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from l1aug import mbrl
+from l1aug import mbrl, pool
 from l1aug.affine import affinize, switching_check
 from l1aug.dynmodel import TrainOptions, make_ensemble, train, unnormalize_jacobian
 from l1aug.envsim import DisturbanceSpec, make_env
@@ -184,39 +184,29 @@ def test_criterion_7_zero_uncertainty_transparency():
     assert ok
 
 
-@pytest.fixture(scope="session")
-def pendulum_rejection(pendulum_ensemble):
-    """Criterion 8 experiment: paired episodes under the disturbed pendulum."""
-    env, model = pendulum_ensemble
+def rejection_seed(model, seed):
+    """Criterion 8 on one seed: each arm's mean cost over two episodes, and the on arm's switches and steps."""
+    env = make_env("pendulum")
     mpc = MpcConfig(horizon=15, n_candidates=200)
     l1cfg = default_l1_config(env.n, env.dt, eps_a=0.3)
     dist = DisturbanceSpec(kind="constant_matched", amplitude=0.3, sigma_a=0.1)
     switch_col = mbrl.step_columns(env.n, env.m)["switch"]
+    off, on = ([run_episode(env, dist, model, mpc, l1cfg, use_l1, episode_rng(seed, 0, ep, "eval")) for ep in range(2)]
+               for use_l1 in (False, True))
+    cost_off, cost_on = (float(np.mean([-res.episode_return for res in arm])) for arm in (off, on))
+    return cost_off, cost_on, sum(int(res.rows[:, switch_col].sum()) for res in on), sum(res.steps for res in on)
 
-    def arm_cost(use_l1, seed):
-        costs = []
-        switches = 0
-        steps = 0
-        for ep in range(2):
-            res = run_episode(env, dist, model, mpc, l1cfg, use_l1, episode_rng(seed, 0, ep, "eval"))
-            costs.append(-res.episode_return)
-            switches += int(res.rows[:, switch_col].sum())
-            steps += res.steps
-        return float(np.mean(costs)), switches, steps
 
-    cost_off, cost_on = [], []
-    switch_total, step_total = 0, 0
-    for seed in range(10):
-        c_off, _, _ = arm_cost(False, seed)
-        c_on, sw, st = arm_cost(True, seed)
-        cost_off.append(c_off)
-        cost_on.append(c_on)
-        switch_total += sw
-        step_total += st
+@pytest.fixture(scope="session")
+def pendulum_rejection(pendulum_ensemble):
+    """Criterion 8 experiment: paired episodes under the disturbed pendulum, seeds spread over the usable CPUs."""
+    _, model = pendulum_ensemble
+    calls = [(model, seed) for seed in range(10)]
+    cost_off, cost_on, switches, steps = zip(*pool.map_jobs(rejection_seed, calls, pool.usable_cpus()))
     return {
-        "cost_off": cost_off,
-        "cost_on": cost_on,
-        "switch_rate": 1000.0 * switch_total / max(step_total, 1),
+        "cost_off": list(cost_off),
+        "cost_on": list(cost_on),
+        "switch_rate": 1000.0 * sum(switches) / max(sum(steps), 1),
     }
 
 
@@ -232,29 +222,29 @@ def test_criterion_8_disturbance_rejection(pendulum_rejection):
     assert ok
 
 
-@pytest.fixture(scope="session")
-def cartpole_loop():
-    """Criterion 9 experiment: full loop, augmented vs baseline, 5 seeds."""
+def cartpole_arm(seed, on):
+    """Criterion 9's loop for one seed, augmented or baseline."""
     env = make_env("cartpole")
     dist = DisturbanceSpec(kind="action_noise", sigma_a=0.1)
     mpc = MpcConfig(horizon=15, n_candidates=200)
     opts = TrainOptions(max_epochs=60, patience=8)
     l1cfg = L1Config(ts=env.dt, as_diag=np.full(env.n, -1.0), omega=0.05 / env.dt, eps_a=1.0)
+    loop = LoopConfig(iterations=5, episodes_per_iteration=8, eval_episodes=3,
+                      l1_train=on, l1_test=on, l1_warmup_iterations=1)
+    record, _ = train_loop(env, dist, loop, mpc, l1cfg, train_opts=opts, seed=seed)
+    return record
 
-    def run(seed, on):
-        loop = LoopConfig(iterations=5, episodes_per_iteration=8, eval_episodes=3,
-                          l1_train=on, l1_test=on, l1_warmup_iterations=1)
-        record, _ = train_loop(env, dist, loop, mpc, l1cfg, train_opts=opts, seed=seed)
-        return record
 
-    out = {"on": [], "off": [], "records_on": []}
-    for seed in range(5):
-        rec_on = run(seed, True)
-        rec_off = run(seed, False)
-        out["on"].append(float(np.mean(rec_on.eval_returns[5])))
-        out["off"].append(float(np.mean(rec_off.eval_returns[5])))
-        out["records_on"].append(rec_on)
-    return out
+@pytest.fixture(scope="session")
+def cartpole_loop():
+    """Criterion 9 experiment: full loop, augmented vs baseline, 5 seeds spread over the usable CPUs."""
+    calls = [(seed, on) for seed in range(5) for on in (True, False)]
+    records = list(pool.map_jobs(cartpole_arm, calls, pool.usable_cpus()))
+    return {
+        "on": [float(np.mean(rec.eval_returns[5])) for rec in records[0::2]],
+        "off": [float(np.mean(rec.eval_returns[5])) for rec in records[1::2]],
+        "records_on": records[0::2],
+    }
 
 
 @pytest.mark.slow

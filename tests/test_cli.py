@@ -5,20 +5,22 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
 import l1aug
-from l1aug import cli, dynmodel
+from l1aug import cli, dynmodel, pool
 from l1aug.cli import CompareConfig, RunConfig, VerifyConfig, _from_dict, load_config, resolve_config
 from l1aug.envsim import ConfigError, DisturbanceSpec
 from l1aug.mbrl import EPISODE_COLUMNS, trace_columns
 from l1aug.verify import grid_l1_configs, make_synthetic_spec
 
-from conftest import die_in_first_group, force_training_path
+from conftest import CAN_FORK, die_in_first_group, force_training_path, force_usable_cpus
 
 
 # The directory this test run imported l1aug from. A relative PYTHONPATH entry
@@ -258,24 +260,25 @@ def test_cli_run_outputs_and_determinism(tiny_run_cfg, tmp_path):
 
 
 @pytest.mark.parametrize("command, outputs", [
-    ("run", ("trace.csv", "episodes.csv", "learning_curve.csv")),
-    ("compare", ("comparison.csv",)),
+    ("run", ("trace.csv", "episodes.csv", "learning_curve.csv", "meta.json")),
+    ("compare", ("comparison.csv", "meta.json")),
 ], ids=["run", "compare"])
-def test_cli_jobs_two_writes_the_same_bytes_as_jobs_one(tiny_run_cfg, tmp_path, command, outputs):
+def test_cli_jobs_two_writes_the_same_bytes_as_jobs_one(tiny_run_cfg, tmp_path, monkeypatch, command, outputs):
+    # Seeds and cells map over the usable CPUs: one runs them here in turn,
+    # two in two workers. Both must write the same bytes.
     blobs = []
-    for jobs in (1, 2):
-        out = tmp_path / f"jobs{jobs}"
-        proc = run_cli([command, str(tiny_run_cfg), "--out", str(out), "-s", "0", "-s", "1", "--jobs", str(jobs)],
-                       cwd=tmp_path)
-        assert proc.returncode == 0, proc.stderr
+    for cpus in (1, 2):
+        force_usable_cpus(monkeypatch, cpus)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli.main, [command, str(tiny_run_cfg), "--out", str(out), "-s", "0", "-s", "1"])
+        assert result.exit_code == 0, result.output
         blobs.append({name: (out / name).read_bytes() for name in outputs})
     assert blobs[0] == blobs[1]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_cli_run_flushes_earlier_seeds_when_a_seed_raises(tiny_run_cfg, tmp_path, monkeypatch, jobs):
-    if jobs > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("worker processes inherit the patched train_loop only when forked")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_cli_run_flushes_earlier_seeds_when_a_seed_raises(tiny_run_cfg, tmp_path, monkeypatch, cpus):
+    force_usable_cpus(monkeypatch, cpus)
     clean = tmp_path / "clean"
     assert run_cli(["run", str(tiny_run_cfg), "--out", str(clean), "-s", "0"], cwd=tmp_path).returncode == 0
     real_train_loop = cli.train_loop
@@ -287,18 +290,21 @@ def test_cli_run_flushes_earlier_seeds_when_a_seed_raises(tiny_run_cfg, tmp_path
 
     monkeypatch.setattr(cli, "train_loop", train_loop)
     out = tmp_path / "partial"
-    result = CliRunner().invoke(cli.main, ["run", str(tiny_run_cfg), "--out", str(out), "-s", "0", "-s", "1",
-                                           "--jobs", str(jobs)])
+    result = CliRunner().invoke(cli.main, ["run", str(tiny_run_cfg), "--out", str(out), "-s", "0", "-s", "1"])
     assert result.exit_code == 3
     assert "partial outputs flushed" in result.output
+    assert multiprocessing.active_children() == []
     for name in ("trace.csv", "episodes.csv", "learning_curve.csv"):
         assert (out / name).read_bytes() == (clean / name).read_bytes()
 
 
 def test_cli_run_flushes_earlier_seeds_when_a_member_worker_dies(tiny_run_cfg, tmp_path, monkeypatch):
-    # Seed 1's training fans out, and the worker of member 0 dies: the run
-    # must abort promptly with seed 0's outputs flushed and no worker left.
+    # The seed map is held to one CPU while training sees two, as in a
+    # one-seed run, so the seeds run here in turn and seed 1's members fan
+    # out. The worker of member 0 dies: the run must abort promptly with
+    # seed 0's outputs flushed and no worker left.
     force_training_path(monkeypatch, "fan-out")
+    monkeypatch.setattr(cli, "pool", SimpleNamespace(map_jobs=pool.map_jobs, usable_cpus=lambda: 1))
     clean = tmp_path / "clean"
     assert run_cli(["run", str(tiny_run_cfg), "--out", str(clean), "-s", "0"], cwd=tmp_path).returncode == 0
     real_train_loop = cli.train_loop
@@ -318,15 +324,77 @@ def test_cli_run_flushes_earlier_seeds_when_a_member_worker_dies(tiny_run_cfg, t
         assert (out / name).read_bytes() == (clean / name).read_bytes()
 
 
+def test_cli_run_flushes_earlier_seeds_when_a_seed_worker_dies(tiny_run_cfg, tmp_path, monkeypatch):
+    # Seeds 0 and 1 start in the two workers, and seed 2 waits for the first
+    # to come free. Seed 1's worker exits once seed 2 has started, so seed 0's
+    # result is back by then: the run must flush seed 0 alone, exit 3 and
+    # leave no worker.
+    force_usable_cpus(monkeypatch, 2)
+    clean = tmp_path / "clean"
+    assert run_cli(["run", str(tiny_run_cfg), "--out", str(clean), "-s", "0"], cwd=tmp_path).returncode == 0
+    real_train_loop = cli.train_loop
+    seed_2_started = tmp_path / "seed_2_started"
+
+    def train_loop(*args, seed, **kwargs):
+        if seed == 1:
+            if multiprocessing.parent_process() is None:
+                raise AssertionError("seeds must run in forked workers")
+            deadline = time.monotonic() + 60.0
+            while not seed_2_started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os._exit(7)
+        if seed == 2:
+            seed_2_started.touch()
+        return real_train_loop(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "train_loop", train_loop)
+    out = tmp_path / "partial"
+    result = CliRunner().invoke(cli.main, ["run", str(tiny_run_cfg), "--out", str(out), "-s", "0", "-s", "1",
+                                           "-s", "2"])
+    assert seed_2_started.exists()
+    assert result.exit_code == 3
+    assert "partial outputs flushed" in result.output
+    assert multiprocessing.active_children() == []
+    for name in ("trace.csv", "episodes.csv", "learning_curve.csv"):
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_cli_compare_flushes_finished_scenarios_when_a_cell_raises(tmp_path, monkeypatch, cpus):
+    # Cells run scenario by scenario; one of the second scenario's raises.
+    # The first scenario's rows must be written as a clean run writes them.
+    force_usable_cpus(monkeypatch, cpus)
+    cfg = write_yaml(tmp_path / "c.yaml", {**TINY_EXPERIMENT, "name": "cmp",
+                                           "scenarios": [{"kind": "none"}, {"kind": "action_noise", "sigma_a": 0.1}]})
+    clean, out = tmp_path / "clean", tmp_path / "partial"
+    assert run_cli(["compare", str(cfg), "--out", str(clean)], cwd=tmp_path).returncode == 0
+    real_train_loop = cli.train_loop
+
+    def train_loop(env, dist, loop, *args, **kwargs):
+        if dist.kind == "action_noise" and loop.l1_train:
+            raise RuntimeError("a cell of the second scenario fails")
+        return real_train_loop(env, dist, loop, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_loop", train_loop)
+    result = CliRunner().invoke(cli.main, ["compare", str(cfg), "--out", str(out)])
+    assert result.exit_code == 3
+    assert "partial outputs flushed" in result.output
+    assert multiprocessing.active_children() == []
+    assert (out / "comparison.csv").read_text().splitlines() == (clean / "comparison.csv").read_text().splitlines()[:3]
+    assert (out / "meta.json").read_text().replace(str(out), str(clean)) == (clean / "meta.json").read_text()
+
+
 def test_cli_jobs_never_exceed_the_calls(tiny_run_cfg, tmp_path, monkeypatch):
-    # One seed with --jobs 8 needs no pool; training stays in-process, so any
-    # executor request here would come from the seed map.
-    force_training_path(monkeypatch, "in-process")
-    requested = []
+    # With eight CPUs, two seeds ask the seed map for two workers, and each
+    # seed's two member groups ask training's map for two: no map may ask
+    # for more workers than it has calls. The calls run inline here.
+    force_usable_cpus(monkeypatch, 8)
+    executors = []
 
     class InlineExecutor:
         def __init__(self, max_workers, **kwargs):
-            requested.append(max_workers)
+            self.max_workers, self.calls = max_workers, 0
+            executors.append(self)
 
         def __enter__(self):
             return self
@@ -335,16 +403,26 @@ def test_cli_jobs_never_exceed_the_calls(tiny_run_cfg, tmp_path, monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            self.calls += 1
             future = concurrent.futures.Future()
             future.set_result(fn(*args))
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
-    out = tmp_path / "jobs8"
-    result = CliRunner().invoke(cli.main, ["run", str(tiny_run_cfg), "--out", str(out), "-s", "0", "--jobs", "8"])
+    out = tmp_path / "cpus8"
+    result = CliRunner().invoke(cli.main, ["run", str(tiny_run_cfg), "--out", str(out), "-s", "0", "-s", "1"])
     assert result.exit_code == 0, result.output
-    assert all(workers <= 1 for workers in requested)
+    assert [(e.max_workers, e.calls) for e in executors] == [(2, 2)] * 3
     assert multiprocessing.active_children() == []
+
+
+def test_usable_cpus_is_the_affinity_here_and_one_in_a_worker():
+    # A seed worker sees one CPU, so its training keeps one group in-process
+    # instead of nesting a pool.
+    if not CAN_FORK or not hasattr(os, "sched_getaffinity"):
+        pytest.skip("needs fork and sched_getaffinity")
+    assert pool.usable_cpus() == len(os.sched_getaffinity(0))
+    assert list(pool.map_jobs(pool.usable_cpus, [(), ()], 2)) == [1, 1]
 
 
 def test_cli_seed_isolation_across_out_dirs(tiny_run_cfg, tmp_path):
@@ -566,13 +644,17 @@ def test_negative_seed_override_is_config_error(tiny_run_cfg, tmp_path, command)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
-@pytest.mark.parametrize("command", ["run", "compare"])
-def test_jobs_below_one_is_config_error(tiny_run_cfg, tmp_path, command, jobs):
-    # Exit 1 as a config error, not click's usage error: 2 is the criterion-failure code.
-    out = tmp_path / "jobs"
-    proc = run_cli([command, str(tiny_run_cfg), "--out", str(out), "--jobs", str(jobs)], cwd=tmp_path)
-    assert proc.returncode == 1, proc.stderr
-    assert f"config error: --jobs must be >= 1, got {jobs}" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert not out.exists()
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("args, message", [
+    (["--bogus", "1"], "--bogus"),
+    (None, "CONFIG_PATH"),
+    (["-s", "abc"], "-s"),
+], ids=["unknown-option", "missing-argument", "bad-seed"])
+def test_cli_usage_error_is_config_error(tiny_run_cfg, tmp_path, command, args, message):
+    # Click exits 2 on a usage error, the code of a failed criterion here; it must exit 1 with click's message.
+    argv = [command] if args is None else [command, str(tiny_run_cfg), *args]
+    result = CliRunner().invoke(cli.main, argv)
+    assert result.exit_code == 1, result.output
+    assert "Usage:" in result.output and "Error:" in result.output
+    assert message in result.output
+    assert not (tmp_path / "out").exists()
