@@ -13,6 +13,7 @@ so a step has the bits of the same RK4 written over float64 arrays.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -240,30 +241,48 @@ def step_true(
 # Rewards are quadratic stabilization costs (cartpole adds an alive bonus so
 # that leaving the state box is never advantageous). All constants are
 # overridable through make_env(name, overrides).
+#
+# A catalog env pickles by value, so a pool worker can step it: its reward and
+# initial-state sampler are module-level functions, and its drift is one, or a
+# functools.partial of one over the constants the builder derives.
 
 
 def _box(*vals: float) -> Array:
     return np.asarray(vals, dtype=float)
 
 
+def _double_integrator_drift(x, u):
+    return (x[1], u[0])
+
+
+def _double_integrator_reward(x, u):
+    return -(x[..., 0] ** 2 + 0.1 * x[..., 1] ** 2 + 0.01 * u[..., 0] ** 2)
+
+
+def _double_integrator_x0(rng):
+    return np.array([rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)])
+
+
 def double_integrator(dt: float = 0.1, horizon: int = 60) -> EnvSpec:
     """Point mass on a line: x1' = x2, x2' = u."""
-
-    def drift(x, u):
-        return (x[1], u[0])
-
-    def reward(x, u):
-        return -(x[..., 0] ** 2 + 0.1 * x[..., 1] ** 2 + 0.01 * u[..., 0] ** 2)
-
-    def x0_sampler(rng):
-        return np.array([rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)])
-
     return EnvSpec(
         name="double_integrator", n=2, m=1, dt=dt, horizon=horizon,
-        drift=drift, x0_sampler=x0_sampler,
+        drift=_double_integrator_drift, x0_sampler=_double_integrator_x0,
         state_low=_box(-5.0, -5.0), state_high=_box(5.0, 5.0),
-        input_low=_box(-2.0), input_high=_box(2.0), reward=reward,
+        input_low=_box(-2.0), input_high=_box(2.0), reward=_double_integrator_reward,
     )
+
+
+def _pendulum_drift(gl, inv_ml2, x, u):
+    return (x[1], -gl * math.sin(x[0]) + inv_ml2 * u[0])
+
+
+def _pendulum_reward(x, u):
+    return -(x[..., 0] ** 2 + 0.1 * x[..., 1] ** 2 + 0.001 * u[..., 0] ** 2)
+
+
+def _pendulum_x0(rng):
+    return np.array([rng.uniform(-0.6, 0.6), rng.uniform(-0.5, 0.5)])
 
 
 def pendulum(
@@ -274,24 +293,37 @@ def pendulum(
     mass: float = 1.0,
 ) -> EnvSpec:
     """Pendulum regulated at the hanging equilibrium: th'' = -(g/l) sin th + u/(m l^2)."""
-    gl = gravity / length
-    inv_ml2 = 1.0 / (mass * length**2)
-
-    def drift(x, u):
-        return (x[1], -gl * math.sin(x[0]) + inv_ml2 * u[0])
-
-    def reward(x, u):
-        return -(x[..., 0] ** 2 + 0.1 * x[..., 1] ** 2 + 0.001 * u[..., 0] ** 2)
-
-    def x0_sampler(rng):
-        return np.array([rng.uniform(-0.6, 0.6), rng.uniform(-0.5, 0.5)])
-
     return EnvSpec(
         name="pendulum", n=2, m=1, dt=dt, horizon=horizon,
-        drift=drift, x0_sampler=x0_sampler,
+        drift=functools.partial(_pendulum_drift, gravity / length, 1.0 / (mass * length**2)),
+        x0_sampler=_pendulum_x0,
         state_low=_box(-math.pi, -8.0), state_high=_box(math.pi, 8.0),
-        input_low=_box(-2.0), input_high=_box(2.0), reward=reward,
+        input_low=_box(-2.0), input_high=_box(2.0), reward=_pendulum_reward,
     )
+
+
+def _cartpole_drift(gravity, pole_length, pole_mass, total_mass, ml, x, u):
+    thdot = x[3]
+    sin_th = math.sin(x[2])
+    cos_th = math.cos(x[2])
+    # Squares round as numpy's do over one state: a 0-d array's thdot**2 is
+    # thdot * thdot (written so, it cannot raise float **'s OverflowError), and
+    # a numpy scalar's cos_th**2 is libm pow, as float ** is. The two differ in
+    # the last bit for about one cosine in 1200; |cos_th| <= 1 cannot overflow.
+    tmp = (u[0] + ml * (thdot * thdot) * sin_th) / total_mass
+    th_acc = (gravity * sin_th - cos_th * tmp) / (
+        pole_length * (4.0 / 3.0 - pole_mass * cos_th**2 / total_mass)
+    )
+    p_acc = tmp - ml * th_acc * cos_th / total_mass
+    return (x[1], p_acc, thdot, th_acc)
+
+
+def _cartpole_reward(x, u):
+    return 1.0 - (x[..., 2] ** 2 + 0.05 * x[..., 0] ** 2 + 0.001 * u[..., 0] ** 2)
+
+
+def _cartpole_x0(rng):
+    return rng.uniform(-0.05, 0.05, size=4)
 
 
 def cartpole(
@@ -308,35 +340,13 @@ def cartpole(
     quadratic cost, sized so staying inside the state box always beats an
     early exit.
     """
-    total_mass = cart_mass + pole_mass
-    ml = pole_mass * pole_length
-
-    def drift(x, u):
-        thdot = x[3]
-        sin_th = math.sin(x[2])
-        cos_th = math.cos(x[2])
-        # Squares round as numpy's do over one state: a 0-d array's thdot**2 is
-        # thdot * thdot (written so, it cannot raise float **'s OverflowError), and
-        # a numpy scalar's cos_th**2 is libm pow, as float ** is. The two differ in
-        # the last bit for about one cosine in 1200; |cos_th| <= 1 cannot overflow.
-        tmp = (u[0] + ml * (thdot * thdot) * sin_th) / total_mass
-        th_acc = (gravity * sin_th - cos_th * tmp) / (
-            pole_length * (4.0 / 3.0 - pole_mass * cos_th**2 / total_mass)
-        )
-        p_acc = tmp - ml * th_acc * cos_th / total_mass
-        return (x[1], p_acc, thdot, th_acc)
-
-    def reward(x, u):
-        return 1.0 - (x[..., 2] ** 2 + 0.05 * x[..., 0] ** 2 + 0.001 * u[..., 0] ** 2)
-
-    def x0_sampler(rng):
-        return rng.uniform(-0.05, 0.05, size=4)
-
     return EnvSpec(
         name="cartpole", n=4, m=1, dt=dt, horizon=horizon,
-        drift=drift, x0_sampler=x0_sampler,
+        drift=functools.partial(_cartpole_drift, gravity, pole_length, pole_mass, cart_mass + pole_mass,
+                                pole_mass * pole_length),
+        x0_sampler=_cartpole_x0,
         state_low=_box(-2.4, -8.0, -0.6, -8.0), state_high=_box(2.4, 8.0, 0.6, 8.0),
-        input_low=_box(-10.0), input_high=_box(10.0), reward=reward,
+        input_low=_box(-10.0), input_high=_box(10.0), reward=_cartpole_reward,
     )
 
 

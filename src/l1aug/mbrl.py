@@ -16,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import pool
 from .affine import AffineModel, reanchor
-from .dynmodel import Ensemble, TrainOptions, TransitionDataset, make_ensemble, train
+from .dynmodel import Ensemble, TrainingDivergenceError, TrainOptions, TransitionDataset, make_ensemble, train
 from .envsim import DisturbanceSpec, EnvSpec, EpisodeDiverged, step_true
 from .l1core import L1Config, L1State, l1_control
 
@@ -299,8 +300,17 @@ def train_loop(
     separate from collection episodes so the two augmentation flags act
     independently; iteration 0 records the untrained-model evaluation. An
     iteration whose dataset is still below ``min_rows`` rows (early
-    terminations) keeps the current model and logs empty losses. A losses
-    row also carries the train report's ``initial_val`` and ``epochs_run``.
+    terminations) keeps the current model and logs empty losses; so does one
+    whose fit raises ``TrainingDivergenceError``, whose losses row also
+    carries the error as ``diverged``. A losses row also carries the train
+    report's ``initial_val`` and ``epochs_run``.
+
+    The episodes that run on one model, iteration i - 1's evaluation and
+    iteration i's collection, form one batch mapped through ``pool.map_jobs``
+    over ``pool.usable_cpus()``, so ``env`` must pickle (catalog envs do).
+    Each episode reads only the model and its own ``episode_rng`` stream, and
+    results come back in call order, so the record and the dataset do not
+    depend on the CPU count.
     """
     record = RunRecord(n=env.n, m=env.m)
     c = step_columns(env.n, env.m)
@@ -308,28 +318,37 @@ def train_loop(
     dataset = TransitionDataset(env.n, env.m)
     record.dataset = dataset
 
-    def evaluate(iteration: int) -> None:
-        for ep in range(loop_cfg.eval_episodes):
-            result = run_episode(env, dist, model, mpc, l1cfg, loop_cfg.l1_test,
-                                 episode_rng(seed, iteration, ep, PHASE_EVAL))
-            record.add_episode(PHASE_EVAL, iteration, ep, seed, result)
+    def episodes(phase: str, iteration: int) -> list[tuple[str, int, int, bool]]:
+        """(phase, iteration, episode, use_l1) of one phase's episodes."""
+        if phase == PHASE_EVAL:
+            return [(phase, iteration, ep, loop_cfg.l1_test) for ep in range(loop_cfg.eval_episodes)]
+        use_l1 = loop_cfg.l1_train and iteration > loop_cfg.l1_warmup_iterations
+        return [(phase, iteration, ep, use_l1) for ep in range(loop_cfg.episodes_per_iteration)]
 
-    evaluate(0)
+    def run_batch(batch: list[tuple[str, int, int, bool]]) -> None:
+        calls = [(env, dist, model, mpc, l1cfg, use_l1, episode_rng(seed, iteration, ep, phase))
+                 for phase, iteration, ep, use_l1 in batch]
+        for (phase, iteration, ep, _), result in zip(batch, pool.map_jobs(run_episode, calls, pool.usable_cpus())):
+            record.add_episode(phase, iteration, ep, seed, result)
+            if phase == PHASE_COLLECT:
+                for row, x_next in zip(result.rows, result.x_next):
+                    dataset.append(row[c["x"]], row[c["u_rl"]], x_next)
+
+    pending = episodes(PHASE_EVAL, 0)
     for iteration in range(1, loop_cfg.iterations + 1):
-        l1_collect = loop_cfg.l1_train and iteration > loop_cfg.l1_warmup_iterations
-        for ep in range(loop_cfg.episodes_per_iteration):
-            result = run_episode(env, dist, model, mpc, l1cfg, l1_collect,
-                                 episode_rng(seed, iteration, ep, PHASE_COLLECT))
-            record.add_episode(PHASE_COLLECT, iteration, ep, seed, result)
-            for row, x_next in zip(result.rows, result.x_next):
-                dataset.append(row[c["x"]], row[c["u_rl"]], x_next)
+        run_batch(pending + episodes(PHASE_COLLECT, iteration))
         losses = {"iteration": iteration, "rows": len(dataset), "train_loss": [], "val_loss": [],
                   "initial_val": [], "epochs_run": []}
         if len(dataset) >= train_opts.min_rows:
             opts = replace(train_opts, seed=train_opts.seed * 1_000_003 + seed * 1_009 + iteration)
-            model, report = train(model, dataset, opts)
-            losses.update(train_loss=report.final_train, val_loss=report.best_val,
-                          initial_val=report.initial_val, epochs_run=report.epochs_run)
+            try:
+                model, report = train(model, dataset, opts)
+            except TrainingDivergenceError as exc:
+                losses["diverged"] = str(exc)
+            else:
+                losses.update(train_loss=report.final_train, val_loss=report.best_val,
+                              initial_val=report.initial_val, epochs_run=report.epochs_run)
         record.iteration_losses.append(losses)
-        evaluate(iteration)
+        pending = episodes(PHASE_EVAL, iteration)
+    run_batch(pending)
     return record, model

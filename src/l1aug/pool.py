@@ -1,7 +1,9 @@
-"""One process-pool map, shared by training's member groups and the CLI's seeds and comparison cells.
+"""One process-pool map, shared by training's member groups, the loop's episode batches and the CLI's seeds and cells.
 
 Workers are forked where the platform can fork, and each runs OpenBLAS on one
-thread; the calls and their results travel by pickle.
+thread; the calls and their results travel by pickle. A worker sees one
+usable CPU, so the maps never nest: a seed worker steps its episodes and
+trains its members in-process.
 """
 
 from __future__ import annotations

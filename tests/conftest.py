@@ -111,3 +111,10 @@ def die_in_first_group(ensemble, members, *splits):
     if members[0] == 0:
         os._exit(7)
     return REAL_FIT(ensemble, members, *splits)
+
+
+def die_in_episode_worker(*args):
+    """Stand-in for ``mbrl.run_episode``: the episode's worker exits."""
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("episodes must run in forked workers")
+    os._exit(7)

@@ -14,13 +14,13 @@ import yaml
 from click.testing import CliRunner
 
 import l1aug
-from l1aug import cli, dynmodel, pool
+from l1aug import cli, dynmodel, mbrl, pool
 from l1aug.cli import CompareConfig, RunConfig, VerifyConfig, _from_dict, load_config, resolve_config
 from l1aug.envsim import ConfigError, DisturbanceSpec
 from l1aug.mbrl import EPISODE_COLUMNS, trace_columns
 from l1aug.verify import grid_l1_configs, make_synthetic_spec
 
-from conftest import CAN_FORK, die_in_first_group, force_training_path, force_usable_cpus
+from conftest import CAN_FORK, die_in_episode_worker, die_in_first_group, force_training_path, force_usable_cpus
 
 
 # The directory this test run imported l1aug from. A relative PYTHONPATH entry
@@ -384,10 +384,26 @@ def test_cli_compare_flushes_finished_scenarios_when_a_cell_raises(tmp_path, mon
     assert (out / "meta.json").read_text().replace(str(out), str(clean)) == (clean / "meta.json").read_text()
 
 
+def test_cli_run_exits_3_when_an_episode_worker_dies(tiny_run_cfg, tmp_path, monkeypatch):
+    # A one-seed run maps its episodes over two CPUs, and an episode's
+    # worker exits: the run must abort with exit 3 and leave no worker.
+    force_usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(mbrl, "run_episode", die_in_episode_worker)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli.main, ["run", str(tiny_run_cfg), "--out", str(out)])
+    assert result.exit_code == 3
+    assert "runtime abort; partial outputs flushed" in result.output
+    assert "BrokenProcessPool" in result.output
+    assert multiprocessing.active_children() == []
+    assert not (out / "trace.csv").exists()
+
+
 def test_cli_jobs_never_exceed_the_calls(tiny_run_cfg, tmp_path, monkeypatch):
-    # With eight CPUs, two seeds ask the seed map for two workers, and each
-    # seed's two member groups ask training's map for two: no map may ask
-    # for more workers than it has calls. The calls run inline here.
+    # With eight CPUs, two seeds ask the seed map for two workers; each
+    # seed's first batch of episodes (one eval, two collect) asks for three,
+    # its two member groups ask training's map for two, and its last batch
+    # (one eval) runs without a pool: no map may ask for more workers than
+    # it has calls. The calls run inline here.
     force_usable_cpus(monkeypatch, 8)
     executors = []
 
@@ -412,7 +428,7 @@ def test_cli_jobs_never_exceed_the_calls(tiny_run_cfg, tmp_path, monkeypatch):
     out = tmp_path / "cpus8"
     result = CliRunner().invoke(cli.main, ["run", str(tiny_run_cfg), "--out", str(out), "-s", "0", "-s", "1"])
     assert result.exit_code == 0, result.output
-    assert [(e.max_workers, e.calls) for e in executors] == [(2, 2)] * 3
+    assert [(e.max_workers, e.calls) for e in executors] == [(2, 2)] + [(3, 3), (2, 2)] * 2
     assert multiprocessing.active_children() == []
 
 

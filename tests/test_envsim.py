@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -215,6 +216,24 @@ def test_matched_disturbance_is_an_input_offset_after_the_clamp(name):
         edge = step_true(env, dist, x, env.input_high, 0, np.random.default_rng(0))
         clamped = step_true(env, DisturbanceSpec(), x, env.input_high + dist.amplitude, 0, np.random.default_rng(0))
         assert not np.array_equal(edge.x_next_true, clamped.x_next_true)
+
+
+@pytest.mark.parametrize("name, overrides", [("double_integrator", {}), ("pendulum", {"length": 0.8, "mass": 1.3}),
+                                             ("cartpole", {"pole_mass": 0.2, "gravity": 9.7})])
+def test_catalog_env_pickles_by_value(name, overrides):
+    # A pool worker steps the env it unpickles, so the copy must keep the
+    # builder's constants and step with the original's bits.
+    env = make_env(name, overrides)
+    copy = pickle.loads(pickle.dumps(env))
+    dist = DisturbanceSpec(kind="sinusoid_matched", amplitude=0.7, frequency=0.8, sigma_a=0.1)
+    rng_a, rng_b, draws = np.random.default_rng(9), np.random.default_rng(9), np.random.default_rng(10)
+    x = env.x0_sampler(rng_a)
+    assert x.tobytes() == copy.x0_sampler(rng_b).tobytes()
+    for t in range(300):
+        u = draws.uniform(env.input_low, env.input_high)
+        a, b = step_true(env, dist, x, u, t, rng_a), step_true(copy, dist, x, u, t, rng_b)
+        assert a.x_next_true.tobytes() == b.x_next_true.tobytes() and a.reward == b.reward
+        x = a.x_next_true
 
 
 @pytest.mark.parametrize("name,x", [("cartpole", [0.0, 0.0, 0.0, 1e200]), ("pendulum", [0.0, 1e308]),

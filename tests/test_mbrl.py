@@ -1,12 +1,14 @@
+import concurrent.futures
 import csv
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from l1aug import envsim
+from l1aug import envsim, mbrl
 from l1aug.affine import reanchor
-from l1aug.dynmodel import Normalizer, TrainOptions, make_ensemble
+from l1aug.dynmodel import Normalizer, TrainingDivergenceError, TrainOptions, make_ensemble
 from l1aug.envsim import DisturbanceSpec, make_env
 from l1aug.l1core import default_l1_config, l1_input
 from l1aug.mbrl import (
@@ -22,7 +24,7 @@ from l1aug.mbrl import (
     train_loop,
 )
 
-from conftest import replay_switch_count
+from conftest import force_usable_cpus, replay_switch_count
 
 
 class UnitIncrementModel:
@@ -484,6 +486,72 @@ def _tiny_loop_record(l1_train, l1_test, seed=5):
     record, _ = train_loop(env, DisturbanceSpec(), loop, MpcConfig(horizon=3, n_candidates=16),
                            default_l1_config(2, env.dt, 0.3), train_opts=opts, seed=seed)
     return record
+
+
+def test_train_loop_keeps_the_model_when_a_fit_diverges(monkeypatch):
+    # The first fit diverges: that iteration logs empty losses and the error,
+    # its evaluation runs on the untrained model, and the next fit goes ahead.
+    real_train, fits = mbrl.train, []
+
+    def train(model, dataset, opts):
+        fits.append(opts.seed)
+        if len(fits) == 1:
+            raise TrainingDivergenceError("member 1: non-finite validation loss at epoch 2", member=1, epoch=2)
+        return real_train(model, dataset, opts)
+
+    monkeypatch.setattr(mbrl, "train", train)
+    env = make_env("double_integrator", {"horizon": 20})
+    loop = LoopConfig(iterations=2, episodes_per_iteration=2, eval_episodes=1)
+    mpc, l1cfg = MpcConfig(horizon=3, n_candidates=8), default_l1_config(2, env.dt, 0.3)
+    record, _ = train_loop(env, DisturbanceSpec(), loop, mpc, l1cfg,
+                           train_opts=TrainOptions(max_epochs=2, min_rows=16), members=2, hidden=(8,), seed=4)
+    assert len(fits) == 2
+    diverged, trained = record.iteration_losses
+    assert diverged == {"iteration": 1, "rows": diverged["rows"], "train_loss": [], "val_loss": [], "initial_val": [],
+                        "epochs_run": [], "diverged": "member 1: non-finite validation loss at epoch 2"}
+    assert "diverged" not in trained and len(trained["val_loss"]) == 2
+    (eval_1,) = [result for phase, iteration, *_, result in record.episodes if (phase, iteration) == ("eval", 1)]
+    untrained = make_ensemble(2, 1, hidden=(8,), members=2, seed=4)
+    expected = run_episode(env, DisturbanceSpec(), untrained, mpc, l1cfg, True, episode_rng(4, 1, 0, "eval"))
+    assert eval_1.rows.tobytes() == expected.rows.tobytes()
+
+
+def _loop_outputs(tmp_path, env, dist, loop):
+    """Trace and episodes CSV bytes, dataset arrays and losses of a tiny train_loop."""
+    record, _ = train_loop(env, dist, loop, MpcConfig(horizon=3, n_candidates=16),
+                           default_l1_config(env.n, env.dt, 0.5), train_opts=TrainOptions(max_epochs=3, min_rows=16),
+                           members=2, hidden=(8,), seed=3)
+    record.write_trace_csv(tmp_path / "trace.csv")
+    record.write_episodes_csv(tmp_path / "episodes.csv")
+    return ((tmp_path / "trace.csv").read_bytes(), (tmp_path / "episodes.csv").read_bytes(),
+            [a.tobytes() for a in record.dataset.as_arrays()], record.iteration_losses)
+
+
+@pytest.mark.parametrize("name, dist, loop", [
+    ("double_integrator", DisturbanceSpec(kind="constant_matched", amplitude=0.3),
+     LoopConfig(iterations=2, episodes_per_iteration=2, eval_episodes=2)),
+    ("cartpole", DisturbanceSpec(kind="action_noise", sigma_a=0.1),
+     LoopConfig(iterations=2, episodes_per_iteration=3, eval_episodes=2, l1_warmup_iterations=1)),
+], ids=["double_integrator", "cartpole_l1_after_warmup"])
+def test_train_loop_outputs_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, name, dist, loop):
+    # One CPU steps every episode here; two fork a worker pair per batch of
+    # episodes (and per fit). The record must not tell them apart.
+    env = make_env(name, {"horizon": 20})
+    pools = []
+
+    class CountingExecutor(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
+    outputs = []
+    for cpus in (1, 2):
+        force_usable_cpus(monkeypatch, cpus)
+        outputs.append(_loop_outputs(tmp_path, env, dist, loop))
+        assert len(pools) == (0 if cpus == 1 else 5)  # three episode batches and two fits
+    assert outputs[0] == outputs[1]
+    assert multiprocessing.active_children() == []
 
 
 def test_train_loop_logs_the_train_report():
