@@ -1,11 +1,12 @@
-"""Discrete adaptive augmentation loop: predictor, adaptation, filter.
+"""Discrete adaptive augmentation loop: switching law, predictor, adaptation, filter.
 
-Between samples the controller carries two things: a state predictor running
-the affine model, and the low-pass filter state. The prediction error at each
-sample drives a memoryless, piecewise-constant adaptation law whose gain
-inverts the exact interval response of the error dynamics; the matched
-component of the estimate is low-pass filtered and subtracted from the
-baseline input.
+Between samples the controller carries the affine model the switching law
+last anchored, a state predictor running it, and the low-pass filter state.
+At each sample, one ``l1_control`` call: the switching law picks the model,
+the prediction error drives a memoryless, piecewise-constant adaptation law
+whose gain inverts the exact interval response of the error dynamics, and
+the matched component of the estimate is low-pass filtered and subtracted
+from the baseline input.
 
 Units convention: the uncertainty estimate ``sigma_rate`` is expressed in
 state-units per second and multiplied by the sampling time wherever an
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import AffineModel
+from .affine import AffineModel, SwitchDecision, reanchor
 
 Array = np.ndarray
 
@@ -68,14 +69,16 @@ def default_l1_config(n: int, ts: float, eps_a: float, as_value: float = -1.0, o
 
 @dataclass(frozen=True)
 class L1State:
-    """The controller's memory between samples: the state predictor and the filter state.
+    """The controller's whole memory between samples: state predictor, filter state and anchor.
 
-    The predictor starts on the measured initial state and the filter at
-    zero. Single-owner: step strictly in time order.
+    The predictor starts on the measured initial state, the filter at zero
+    and the anchor at None, until the first step anchors. Single-owner: step
+    strictly in time order.
     """
 
     xhat: Array
     q: Array
+    am: AffineModel | None = None
 
     @classmethod
     def initial(cls, x0: Array, m: int) -> "L1State":
@@ -106,14 +109,17 @@ def decompose(h: Array, sigma_rate: Array, ts: float) -> tuple[Array, Array]:
     Solves sigma_rate * ts = h sigma_m + h_perp sigma_um with h_perp an
     orthonormal complement basis, so sigma_m is in input units. sigma_m is
     the minimum-norm least-squares solve, which drops singular values below
-    ``RANK_TOL`` times the largest; a smallest singular value below
-    ``RANK_TOL`` is logged as a rank fallback (one WARNING per call).
+    ``RANK_TOL`` times the largest. A smallest singular value below
+    ``RANK_TOL`` is a rank fallback, logged (one WARNING per call); sigma_m
+    is then the pseudo-inverse solve cut at ``RANK_TOL`` itself, which zeroes
+    a dead channel (``lstsq`` ignores ``rcond`` for a single column).
     """
     h = np.asarray(h, dtype=float)
     increment = np.asarray(sigma_rate, dtype=float) * ts
     sigma_m, _, _, sv = np.linalg.lstsq(h, increment, rcond=RANK_TOL)
     if sv.min() < RANK_TOL:
         log.warning("decompose: input channel near rank-deficient (smallest sv %.3e)", sv.min())
+        sigma_m = np.linalg.pinv(h, rcond=RANK_TOL / max(sv.max(), RANK_TOL)) @ increment
     h_perp = orthonormal_complement(h)
     sigma_um = h_perp.T @ increment
     return sigma_m, sigma_um
@@ -142,19 +148,24 @@ def l1_input(u_rl: Array, xtilde: Array, h: Array, q: Array, cfg: L1Config) -> t
     return u_rl + u_a, sigma_rate, sigma_m, sigma_um, q_next
 
 
-def l1_control(u_rl: Array, x: Array, am: AffineModel, parts: tuple[Array, Array], l1: L1State,
-               cfg: L1Config) -> tuple[Array, L1State, tuple[Array, Array, Array, Array]]:
-    """Full per-step controller update, in order.
-
-    Prediction-error update, the adaptive law at the current state, then the
-    Euler predictor advance xhat + dx_affine(x, u) + (sigma_rate + As xtilde)
-    ts using the augmented input; ``parts`` is ``am.parts(x)``. Returns the
-    input to execute, the next state and this step's estimates
-    (xtilde, sigma_rate, sigma_m, sigma_um).
+def l1_control(u_rl: Array, x: Array, model: object, state: L1State, cfg: L1Config
+               ) -> tuple[Array, L1State, tuple[Array, Array, Array, Array], SwitchDecision]:
+    """One augmented step, in order: the switching law ``reanchor`` at (x, u_rl),
+    the prediction-error update, the adaptive law, then the Euler predictor
+    advance xhat + dx_affine(x, u) + (sigma_rate + As xtilde) ts with the
+    augmented input. Returns the input to execute, the next state, this
+    step's estimates (xtilde, sigma_rate, sigma_m, sigma_um) and the switching
+    decision. Where the model's parts at x are not finite, it executes u_rl
+    and returns ``L1State.initial`` and NaN estimates.
     """
     x = np.asarray(x, dtype=float)
     u_rl = np.asarray(u_rl, dtype=float)
-    xtilde = l1.xhat - x
-    u, sigma_rate, sigma_m, sigma_um, q_next = l1_input(u_rl, xtilde, parts[1], l1.q, cfg)
-    xhat_next = l1.xhat + am.predict(parts, u) + (sigma_rate + cfg.as_diag * xtilde) * cfg.ts
-    return u, L1State(xhat=xhat_next, q=q_next), (xtilde, sigma_rate, sigma_m, sigma_um)
+    am, decision = reanchor(state.am, model, x, u_rl, cfg.eps_a)
+    f_anchor, h = decision.parts
+    if not (np.isfinite(f_anchor).all() and np.isfinite(h).all()):
+        n, m = h.shape
+        return u_rl, L1State.initial(x, m), tuple(np.full(k, np.nan) for k in (n, n, m, max(n - m, 0))), decision
+    xtilde = state.xhat - x
+    u, sigma_rate, sigma_m, sigma_um, q_next = l1_input(u_rl, xtilde, h, state.q, cfg)
+    xhat_next = state.xhat + am.predict(decision.parts, u) + (sigma_rate + cfg.as_diag * xtilde) * cfg.ts
+    return u, L1State(xhat=xhat_next, q=q_next, am=am), (xtilde, sigma_rate, sigma_m, sigma_um), decision

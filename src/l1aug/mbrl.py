@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import pool
-from .affine import AffineModel, reanchor
 from .dynmodel import Ensemble, TrainingDivergenceError, TrainOptions, TransitionDataset, make_ensemble, train
 from .envsim import DisturbanceSpec, EnvSpec, EpisodeDiverged, step_true
 from .l1core import L1Config, L1State, l1_control
@@ -165,18 +164,17 @@ def run_episode(
     use_l1: bool,
     rng: np.random.Generator,
 ) -> EpisodeResult:
-    """Roll one episode, re-anchoring the affine model per the switching law.
+    """Roll one episode, augmenting each baseline input when the adaptive loop is on.
 
-    Each step samples the baseline input, re-anchors if the affine residual
-    at (x_t, u_RL) reaches eps_a, augments the input when the adaptive loop
-    is on, executes on the true system, and records (x_t, u_RL, x_{t+1}). The
-    controller and the recorded rows see observations; the integrator sees the
-    true state. Divergence ends the episode with partial data retained.
+    Each step samples the baseline input, runs one ``l1_control`` step
+    (switching law and adaptive law) when the adaptive loop is on, executes
+    on the true system, and records (x_t, u_RL, x_{t+1}). The controller and
+    the recorded rows see observations; the integrator sees the true state.
+    Divergence ends the episode with partial data retained.
     """
     x_true = env.x0_sampler(rng)
     x_obs = x_true
     l1 = L1State.initial(x_obs, env.m)
-    am: AffineModel | None = None
     c = step_columns(env.n, env.m)
     rows = np.full((env.horizon, len(trace_columns(env.n, env.m)) - len(TRACE_KEYS)), np.nan)
     x_next = np.empty((env.horizon, env.n))
@@ -191,12 +189,12 @@ def run_episode(
         row[c["switch"]] = 0
         if use_l1:
             row[c["xhat"]] = l1.xhat
-            am, decision = reanchor(am, model, x_obs, u_rl, l1cfg.eps_a)
+            u_cmd, l1, estimates, decision = l1_control(u_rl, x_obs, model, l1, l1cfg)
+            row[c["xtilde"]], row[c["sigma"]], row[c["sigma_m"]], row[c["sigma_um"]] = estimates
             row[c["switch"]] = decision.switch
             row[c["switch_residual"]] = decision.residual
-            u_cmd, l1, estimates = l1_control(u_rl, x_obs, am, decision.parts, l1, l1cfg)
-            row[c["xtilde"]], row[c["sigma"]], row[c["sigma_m"]], row[c["sigma_um"]] = estimates
-            row[c["anchor_norm"]] = np.linalg.norm(am.ubar)
+            if l1.am is not None:
+                row[c["anchor_norm"]] = np.linalg.norm(l1.am.ubar)
         else:
             u_cmd = u_rl
 

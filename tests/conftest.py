@@ -62,6 +62,43 @@ def replay_switch_count(model, xs, us, eps_a):
     return count
 
 
+def point_mass_drift(x, u):
+    """Planar point mass (px, py, vx, vy) pushed by two forces, with a sin coupling of the positions.
+
+    Written with numpy's sin so that it also evaluates transposed batches: ``x[i]`` is a row of ``x.T``.
+    """
+    return (x[2], x[3], u[0] - 0.5 * np.sin(x[1]), u[1] + 0.5 * np.sin(x[0]))
+
+
+def point_mass_reward(x, u):
+    return -(x[..., 0] ** 2 + x[..., 1] ** 2 + 0.1 * (x[..., 2] ** 2 + x[..., 3] ** 2)
+             + 0.01 * (u[..., 0] ** 2 + u[..., 1] ** 2))
+
+
+def point_mass_x0(rng):
+    return np.concatenate([rng.uniform(-1.0, 1.0, size=2), rng.uniform(-0.3, 0.3, size=2)])
+
+
+def point_mass(horizon=30):
+    """A two-input plant outside the catalog; it pickles, so pool workers can step it."""
+    box = np.array([3.0, 3.0, 5.0, 5.0])
+    return envsim.EnvSpec(
+        name="point_mass", n=4, m=2, dt=0.1, horizon=horizon, drift=point_mass_drift, x0_sampler=point_mass_x0,
+        state_low=-box, state_high=box, input_low=np.full(2, -2.0), input_high=np.full(2, 2.0),
+        reward=point_mass_reward,
+    )
+
+
+@pytest.fixture(scope="session")
+def point_mass_ensemble():
+    """A small ensemble fitted to random-input point-mass rows."""
+    env = point_mass()
+    ds = collect_random_rows(env, envsim.DisturbanceSpec(), 2000, seed=2024, steps_per_episode=30)
+    ens = dynmodel.make_ensemble(env.n, env.m, hidden=(32, 32), members=2, seed=3)
+    trained, _ = dynmodel.train(ens, ds, dynmodel.TrainOptions(max_epochs=40, patience=6, seed=1))
+    return env, trained
+
+
 @pytest.fixture(scope="session")
 def pendulum_ensemble():
     """Well-trained pendulum model, shared by the slower control tests."""

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1aug.affine import affinize
 from l1aug.l1core import (
     L1Config,
     L1State,
@@ -158,11 +157,20 @@ def test_decompose_rank_deficient_warns(caplog):
     assert np.all(np.isfinite(sigma_m))
 
 
+def test_decompose_truncates_the_channel_it_warns_about(caplog):
+    # One column is never cut by a relative cutoff; the absolute one zeroes it.
+    with caplog.at_level(logging.WARNING, logger="l1aug.l1core"):
+        sigma_m, sigma_um = decompose(np.array([[1e-12], [0.0]]), np.ones(2), 1.0)
+    assert np.array_equal(sigma_m, [0.0])
+    assert [r.levelno for r in caplog.records if r.name == "l1aug.l1core"] == [logging.WARNING]
+
+
 def svd_pinv_decompose(h, sigma_rate, ts, rank_tol=1e-8):
-    """Reference: the SVD rank test, then lstsq or a pseudo-inverse, then the complete-QR complement."""
+    """Reference: the SVD rank test, then lstsq or a pseudo-inverse cut at rank_tol, then the complete-QR complement."""
     increment = sigma_rate * ts
-    if np.linalg.svd(h, compute_uv=False).min() < rank_tol:
-        sigma_m = np.linalg.pinv(h, rcond=rank_tol) @ increment
+    sv = np.linalg.svd(h, compute_uv=False)
+    if sv.min() < rank_tol:
+        sigma_m = np.linalg.pinv(h, rcond=rank_tol / max(sv.max(), rank_tol)) @ increment
     else:
         sigma_m, *_ = np.linalg.lstsq(h, increment, rcond=None)
     n, m = h.shape
@@ -275,12 +283,11 @@ def test_filter_attenuates_fast_sinusoid():
 def test_predictor_follows_model_at_zero_error():
     ts = 0.1
     model = ScalarIntegratorModel(ts)
-    am = affinize(model, np.zeros(1))
     cfg = scalar_cfg(ts=ts)
     x = np.array([0.4])
     l1 = L1State.initial(x, 1)
     u_rl = np.array([0.8])
-    u, nxt, (xtilde, _, _, _) = l1_control(u_rl, x, am, am.parts(x), l1, cfg)
+    u, nxt, (xtilde, _, _, _), _ = l1_control(u_rl, x, model, l1, cfg)
     assert np.array_equal(u, u_rl)
     assert nxt.xhat[0] == pytest.approx(x[0] + u_rl[0] * ts, abs=1e-15)
     assert xtilde[0] == 0.0
@@ -291,10 +298,9 @@ def test_predictor_one_step_arithmetic():
     # predictor advances with the augmented input and the fresh estimate.
     ts = 0.1
     model = ScalarIntegratorModel(ts)
-    am = affinize(model, np.zeros(1))
     cfg = scalar_cfg(ts=ts, lam=-1.0)
     l1 = L1State(xhat=np.array([0.01]), q=np.zeros(1))
-    u, nxt, (_, sigma_rate, _, _) = l1_control(np.zeros(1), np.zeros(1), am, am.parts(np.zeros(1)), l1, cfg)
+    u, nxt, (_, sigma_rate, _, _), _ = l1_control(np.zeros(1), np.zeros(1), model, l1, cfg)
     decay = math.exp(-ts)
     sigma = -decay / (1.0 - decay) * 0.01
     u_a = -0.35 * sigma  # omega * ts = 0.35; the gain ts cancels in sigma_m
@@ -306,26 +312,24 @@ def test_predictor_one_step_arithmetic():
 def test_l1_control_first_step_is_transparent():
     ts = 0.05
     model = ScalarIntegratorModel(ts)
-    am = affinize(model, np.zeros(1))
     cfg = scalar_cfg(ts=ts)
     x0 = np.array([0.3])
     l1 = L1State.initial(x0, 1)
     u_rl = np.array([0.7])
-    u, _, _ = l1_control(u_rl, x0, am, am.parts(x0), l1, cfg)
+    u, _, _, _ = l1_control(u_rl, x0, model, l1, cfg)
     assert np.array_equal(u, u_rl)
 
 
 def test_l1_control_transparent_under_perfect_model():
     ts = 0.05
     model = ScalarIntegratorModel(ts)
-    am = affinize(model, np.zeros(1))
     cfg = scalar_cfg(ts=ts)
     rng = np.random.default_rng(0)
     x = np.array([0.3])
     l1 = L1State.initial(x, 1)
     for _ in range(200):
         u_rl = rng.uniform(-1, 1, 1)
-        u, l1, (xtilde, _, _, _) = l1_control(u_rl, x, am, am.parts(x), l1, cfg)
+        u, l1, (xtilde, _, _, _), _ = l1_control(u_rl, x, model, l1, cfg)
         assert abs(u[0] - u_rl[0]) <= 1e-9
         assert abs(xtilde[0]) <= 1e-9
         x = x + u * ts
@@ -335,13 +339,12 @@ def test_l1_control_rejects_constant_disturbance():
     ts = 0.05
     d = 0.5
     model = ScalarIntegratorModel(ts)
-    am = affinize(model, np.zeros(1))
     cfg = scalar_cfg(ts=ts, lam=-1.0)
     x = np.zeros(1)
     l1 = L1State.initial(x, 1)
     u = np.zeros(1)
     for _ in range(50):
-        u, l1, _ = l1_control(np.zeros(1), x, am, am.parts(x), l1, cfg)
+        u, l1, _, _ = l1_control(np.zeros(1), x, model, l1, cfg)
         x = x + (u + d) * ts
     u_a = u[0]
     assert -0.5 <= u_a <= -0.45  # rejects at least 90 percent of d
@@ -352,3 +355,4 @@ def test_l1_state_initialization():
     l1 = L1State.initial(np.array([1.0, 2.0]), m=1)
     assert np.array_equal(l1.xhat, [1.0, 2.0])
     assert np.array_equal(l1.q, np.zeros(1))
+    assert l1.am is None

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import logging
 import multiprocessing
 from dataclasses import replace
 
@@ -24,7 +25,7 @@ from l1aug.mbrl import (
     train_loop,
 )
 
-from conftest import force_usable_cpus, replay_switch_count
+from conftest import force_usable_cpus, point_mass, point_mass_drift, replay_switch_count
 
 
 class UnitIncrementModel:
@@ -418,14 +419,9 @@ def test_replay_counts_the_switches_of_run_episode(pendulum_ensemble):
     assert replay_switch_count(model, xs, us, l1cfg.eps_a) == n_switches
 
 
-def test_logged_controller_columns_replay_the_adaptive_law(pendulum_ensemble):
-    # From row 0's state and a zero filter, the switching law, the adaptive law
-    # and the Euler predictor reproduce every logged estimate bit for bit.
-    env, model = pendulum_ensemble
-    l1cfg = default_l1_config(env.n, env.dt, eps_a=5e-4)
-    dist = DisturbanceSpec(kind="constant_matched", amplitude=0.3, sigma_a=0.1)
-    result = run_episode(env, dist, model, MpcConfig(horizon=10, n_candidates=64), l1cfg, True,
-                         episode_rng(0, 0, 0, "eval"))
+def assert_controller_columns_replay(env, model, l1cfg, result):
+    """From row 0's state and a zero filter, the switching law, the adaptive law
+    and the Euler predictor reproduce every logged estimate bit for bit."""
     c = step_columns(env.n, env.m)
     assert result.rows[1:, c["switch"]].any()
     am, xhat, q = None, result.rows[0, c["x"]], np.zeros(env.m)
@@ -439,6 +435,84 @@ def test_logged_controller_columns_replay_the_adaptive_law(pendulum_ensemble):
                             ("sigma_um", sigma_um), ("u_a", u_a)):
             assert np.array_equal(row[c[name]], value), (t, name)
         xhat = xhat + am.predict(decision.parts, u) + (sigma + l1cfg.as_diag * xtilde) * l1cfg.ts
+
+
+def test_logged_controller_columns_replay_the_adaptive_law(pendulum_ensemble):
+    env, model = pendulum_ensemble
+    l1cfg = default_l1_config(env.n, env.dt, eps_a=5e-4)
+    dist = DisturbanceSpec(kind="constant_matched", amplitude=0.3, sigma_a=0.1)
+    result = run_episode(env, dist, model, MpcConfig(horizon=10, n_candidates=64), l1cfg, True,
+                         episode_rng(0, 0, 0, "eval"))
+    assert_controller_columns_replay(env, model, l1cfg, result)
+
+
+def test_logged_controller_columns_replay_the_adaptive_law_with_two_inputs(point_mass_ensemble):
+    env, model = point_mass_ensemble
+    l1cfg = default_l1_config(env.n, env.dt, eps_a=1e-2)
+    dist = DisturbanceSpec(kind="constant_matched", amplitude=0.3, sigma_a=0.1)
+    result = run_episode(env, dist, model, MpcConfig(horizon=8, n_candidates=64), l1cfg, True,
+                         episode_rng(0, 0, 0, "eval"))
+    assert result.steps == env.horizon
+    assert_controller_columns_replay(env, model, l1cfg, result)
+
+
+def test_train_loop_runs_augmented_with_two_inputs():
+    env = point_mass()
+    loop = LoopConfig(iterations=2, episodes_per_iteration=3, eval_episodes=1, l1_warmup_iterations=1)
+    opts = TrainOptions(max_epochs=10, patience=3, min_rows=32)  # episodes may leave the box early
+    record, _ = train_loop(env, DisturbanceSpec(kind="constant_matched", amplitude=0.3), loop,
+                           MpcConfig(horizon=5, n_candidates=32), default_l1_config(env.n, env.dt, 0.05),
+                           train_opts=opts, members=2, hidden=(16, 16), seed=2)
+    augmented = [result for phase, iteration, _, _, result in record.episodes if phase == "eval" or iteration > 1]
+    assert len(augmented) == 3 + 3
+    assert all(np.isfinite(result.rows).all() for result in augmented)
+    assert [len(losses["val_loss"]) for losses in record.iteration_losses] == [2, 2]
+    assert all(np.isfinite(losses["train_loss"] + losses["val_loss"]).all() for losses in record.iteration_losses)
+
+
+def test_a_dead_second_input_channel_runs_through_the_truncation(caplog):
+    # The plant's own field over one Euler step with the second input cut: h
+    # has a zero column, so every step is a rank fallback, and that channel's
+    # estimate stays zero.
+    env = point_mass(horizon=20)
+
+    class DeadSecondInput:
+        def predict_mean(self, x, u):
+            x, u = np.asarray(x, dtype=float), np.array(u, dtype=float)
+            u[..., 1] = 0.0
+            return np.stack(point_mass_drift(x.T, u.T), axis=-1) * env.dt
+
+        def jacobian_u(self, x, u):
+            return np.array([[0.0, 0.0], [0.0, 0.0], [env.dt, 0.0], [0.0, 0.0]])
+
+    with caplog.at_level(logging.WARNING, logger="l1aug.l1core"):
+        result = run_episode(env, DisturbanceSpec(kind="constant_matched", amplitude=0.3), DeadSecondInput(),
+                             MpcConfig(horizon=5, n_candidates=32), default_l1_config(env.n, env.dt, 0.05), True,
+                             episode_rng(1, 0, 0, "eval"))
+    c = step_columns(env.n, env.m)
+    assert result.steps == env.horizon
+    assert np.isfinite(result.rows).all()
+    assert np.all(result.rows[:, c["sigma_m"]][:, 1] == 0.0)
+    assert np.any(result.rows[:, c["u_a"]][:, 0] != 0.0)
+    assert len([r for r in caplog.records if r.name == "l1aug.l1core"]) == env.horizon
+
+
+@pytest.mark.parametrize("use_l1", [False, True], ids=["l1_off", "l1_on"])
+def test_a_non_finite_model_runs_the_episode_unaugmented(use_l1, capfd):
+    # One NaN hidden weight in one member makes every prediction NaN. The
+    # planner falls back to candidate 0, and the augmented step executes u_rl
+    # without reaching the least-squares solve.
+    env = make_env("pendulum", {"horizon": 20})
+    model = make_ensemble(env.n, env.m, hidden=(16, 16), members=2, seed=0)
+    model.weights[1][1, 0, 0] = np.nan
+    result = run_episode(env, DisturbanceSpec(), model, MpcConfig(horizon=5, n_candidates=16),
+                         default_l1_config(env.n, env.dt, 0.3), use_l1, episode_rng(0, 0, 0, "eval"))
+    assert result.steps == 20
+    assert "DLASCL" not in capfd.readouterr().err
+    c = step_columns(env.n, env.m)
+    if use_l1:
+        assert np.array_equal(result.rows[:, c["u_a"]], np.zeros((20, env.m)))
+        assert np.isnan(result.rows[:, c["sigma_m"]]).all()
 
 
 def test_horizon_zero_like_empty_dataset():
