@@ -30,18 +30,10 @@ import numpy as np
 import yaml
 
 from . import __version__, pool
-from .dynmodel import TrainOptions
+from .dynmodel import Ensemble, TrainOptions
 from .envsim import ConfigError, DisturbanceSpec, make_env
 from .l1core import default_l1_config
-from .mbrl import (
-    PHASE_EVAL,
-    LoopConfig,
-    MpcConfig,
-    RunRecord,
-    episode_rng,
-    run_episode,
-    train_loop,
-)
+from .mbrl import PHASE_EVAL, LoopConfig, MpcConfig, RunRecord, episode_rng, run_episode, train_loop
 from .verify import check_assumption_bound, grid_l1_configs, make_synthetic_spec, run_ts_grid
 
 EXIT_OK = 0
@@ -139,6 +131,8 @@ class CompareConfig(ExperimentConfig):
     def __post_init__(self):
         if self.report_window < 0:
             raise ValueError(f"report_window must be >= 0 (0 reports every evaluation), got {self.report_window}")
+        if not self.scenarios:
+            raise ValueError("scenarios must be a non-empty list")
 
 
 @contextmanager
@@ -221,6 +215,14 @@ def _build_pieces(cfg: ExperimentConfig):
     return env, l1cfg, opts
 
 
+def _train_loop(cfg: ExperimentConfig, dist: DisturbanceSpec, loop: LoopConfig, seed: int
+                ) -> tuple[RunRecord, Ensemble]:
+    """``train_loop`` for one seed under ``dist`` and ``loop``, on the pieces a run or compare config describes."""
+    env, l1cfg, opts = _build_pieces(cfg)
+    return train_loop(env, dist, loop, cfg.mpc, l1cfg, train_opts=opts, members=cfg.model.members,
+                      hidden=tuple(cfg.model.hidden), seed=seed)
+
+
 def resolve_config(cfg: ExperimentConfig, seed_override: tuple[int, ...] = (), out_override: str | None = None):
     """Fill in the eps_a, out and seed defaults of a run or compare config and check that it builds."""
     if cfg.l1.eps_a is None:
@@ -264,13 +266,6 @@ def _write_meta(directory: Path, cfg, extra: dict | None = None) -> None:
 
 
 # --- run --------------------------------------------------------------------
-
-
-def _run_one_seed(cfg: RunConfig, seed: int) -> RunRecord:
-    env, l1cfg, opts = _build_pieces(cfg)
-    record, _ = train_loop(env, cfg.disturbance, cfg.loop, cfg.mpc, l1cfg, train_opts=opts,
-                           members=cfg.model.members, hidden=tuple(cfg.model.hidden), seed=seed)
-    return record
 
 
 def _emit_run_outputs(directory: Path, cfg: RunConfig, records: list[RunRecord]) -> None:
@@ -364,8 +359,8 @@ def cmd_run(config_path, seed_override, out_override):
 
     for sub in _grid_variants(cfg) if cfg.ablation_grid else [cfg]:
         directory = out_dir(sub.out)
-        _map_and_flush(_run_one_seed, [(sub, seed) for seed in sub.seeds],
-                       lambda records: _emit_run_outputs(directory, sub, records))
+        _map_and_flush(_train_loop, [(sub, sub.disturbance, sub.loop, seed) for seed in sub.seeds],
+                       lambda results: _emit_run_outputs(directory, sub, [record for record, _ in results]))
         click.echo(f"wrote {directory}")
     sys.exit(EXIT_OK)
 
@@ -429,24 +424,24 @@ def _final_window_mean(record: RunRecord, window: int) -> float:
     return float(np.mean(tail))
 
 
-def _compare_cell(cfg: CompareConfig, scenario: DisturbanceSpec, seed: int, use_l1: bool) -> float:
-    """Final-window return for one (scenario, seed, arm) cell."""
-    env, l1cfg, opts = _build_pieces(cfg)
-    model_kw = dict(train_opts=opts, members=cfg.model.members, hidden=tuple(cfg.model.hidden), seed=seed)
-    if cfg.sim_to_real:
-        # Train clean without augmentation, then deploy on the disturbed system.
-        loop = replace(cfg.loop, l1_train=False, l1_test=False)
-        _, model = train_loop(env, DisturbanceSpec(), loop, cfg.mpc, l1cfg, **model_kw)
-        returns = []
-        for ep in range(cfg.loop.eval_episodes):
-            result = run_episode(env, scenario, model, cfg.mpc, l1cfg, use_l1,
-                                 episode_rng(seed, 10_000, ep, PHASE_EVAL))
-            returns.append(result.episode_return)
-        return float(np.mean(returns))
+def _compare_cell(cfg: CompareConfig, scenario: DisturbanceSpec, seed: int, use_l1: bool) -> RunRecord:
+    """The record of one (scenario, seed, arm) cell: the loop's own, or under ``sim_to_real`` the
+    ``loop.eval_episodes`` deployments (as iteration 10000) of a model trained clean without augmentation."""
+    if not cfg.sim_to_real:
+        return _train_loop(cfg, scenario, replace(cfg.loop, l1_train=use_l1, l1_test=use_l1), seed)[0]
+    _, model = _train_loop(cfg, DisturbanceSpec(), replace(cfg.loop, l1_train=False, l1_test=False), seed)
+    env, l1cfg, _ = _build_pieces(cfg)
+    record = RunRecord(n=env.n, m=env.m)
+    for ep in range(cfg.loop.eval_episodes):
+        rng = episode_rng(seed, 10_000, ep, PHASE_EVAL)
+        record.add_episode(PHASE_EVAL, 10_000, ep, seed, run_episode(env, scenario, model, cfg.mpc, l1cfg, use_l1, rng))
+    return record
 
-    loop = replace(cfg.loop, l1_train=use_l1, l1_test=use_l1)
-    record, _ = train_loop(env, scenario, loop, cfg.mpc, l1cfg, **model_kw)
-    return _final_window_mean(record, cfg.report_window)
+
+def _compare_calls(cfg: CompareConfig) -> list[tuple]:
+    """The ``_compare_cell`` calls of a compare config, in scenario, seed, arm order (baseline first)."""
+    return [(cfg, scenario, seed, use_l1) for scenario in cfg.scenarios for seed in cfg.seeds
+            for use_l1 in (False, True)]
 
 
 def _sign_test_p(wins: int, losses: int) -> float:
@@ -467,11 +462,15 @@ def _scenario_label(s: DisturbanceSpec) -> str:
     return "_".join(bits)
 
 
-def _emit_comparison(directory: Path, cfg: CompareConfig, returns: list[float]) -> None:
-    """Write comparison.csv and meta.json; ``returns`` are the first cells in scenario, seed, arm order.
+def _emit_comparison(directory: Path, cfg: CompareConfig, records: list[RunRecord]) -> None:
+    """Write comparison.csv and meta.json; ``records`` are the first cells in ``_compare_calls`` order.
 
-    A scenario gets its rows only when all of its cells are in ``returns``.
+    A cell's value is its final-window mean return, over every deployment
+    under ``sim_to_real``. A scenario gets its rows only when all of its
+    cells are in ``records``.
     """
+    window = 0 if cfg.sim_to_real else cfg.report_window
+    returns = [_final_window_mean(record, window) for record in records]
     rows = [["scenario", "arm", "mean_return", "std_return", "n_seeds", "l1_wins", "l1_losses", "sign_p"]]
     per_scenario = 2 * len(cfg.seeds)
     for si, scenario in enumerate(cfg.scenarios[:len(returns) // per_scenario]):
@@ -496,15 +495,11 @@ def cmd_compare(config_path, seed_override, out_override):
     """Paired baseline-vs-augmented runs per scenario on shared seeds."""
     try:
         cfg = resolve_config(load_config(CompareConfig, config_path), seed_override, out_override)
-        if not cfg.scenarios:
-            raise ConfigError("scenarios must be a non-empty list")
     except ConfigError as exc:
         _config_error(exc)
 
     directory = out_dir(cfg.out)
-    calls = [(cfg, scenario, seed, use_l1) for scenario in cfg.scenarios for seed in cfg.seeds
-             for use_l1 in (False, True)]
-    _map_and_flush(_compare_cell, calls, lambda returns: _emit_comparison(directory, cfg, returns))
+    _map_and_flush(_compare_cell, _compare_calls(cfg), lambda records: _emit_comparison(directory, cfg, records))
     click.echo(f"wrote {directory / 'comparison.csv'}")
     sys.exit(EXIT_OK)
 

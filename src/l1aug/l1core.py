@@ -156,7 +156,8 @@ def l1_control(u_rl: Array, x: Array, model: object, state: L1State, cfg: L1Conf
     augmented input. Returns the input to execute, the next state, this
     step's estimates (xtilde, sigma_rate, sigma_m, sigma_um) and the switching
     decision. Where the model's parts at x are not finite, it executes u_rl
-    and returns ``L1State.initial`` and NaN estimates.
+    and returns ``L1State.initial``, NaN estimates and a decision with no
+    switch and a NaN residual, which is undefined there.
     """
     x = np.asarray(x, dtype=float)
     u_rl = np.asarray(u_rl, dtype=float)
@@ -164,7 +165,8 @@ def l1_control(u_rl: Array, x: Array, model: object, state: L1State, cfg: L1Conf
     f_anchor, h = decision.parts
     if not (np.isfinite(f_anchor).all() and np.isfinite(h).all()):
         n, m = h.shape
-        return u_rl, L1State.initial(x, m), tuple(np.full(k, np.nan) for k in (n, n, m, max(n - m, 0))), decision
+        estimates = tuple(np.full(k, np.nan) for k in (n, n, m, max(n - m, 0)))
+        return u_rl, L1State.initial(x, m), estimates, SwitchDecision(False, np.nan, decision.parts)
     xtilde = state.xhat - x
     u, sigma_rate, sigma_m, sigma_um, q_next = l1_input(u_rl, xtilde, h, state.q, cfg)
     xhat_next = state.xhat + am.predict(decision.parts, u) + (sigma_rate + cfg.as_diag * xtilde) * cfg.ts

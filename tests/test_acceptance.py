@@ -2,21 +2,26 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 measurements. The cartpole loop experiment is shared between the end-to-end
-and switch-rate criteria through a session fixture.
+and switch-rate criteria through a session fixture. That experiment is
+``configs/compare_cartpole.yaml`` on its gate seeds 0-4: the fixture loads
+the file and maps the same ``cli._compare_cell`` over the same calls as
+``l1aug compare configs/compare_cartpole.yaml -s 0 -s 1 -s 2 -s 3 -s 4``.
 """
 
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from l1aug import mbrl, pool
+from l1aug import cli, mbrl, pool
 from l1aug.affine import affinize, switching_check
+from l1aug.cli import CompareConfig, load_config, resolve_config
 from l1aug.dynmodel import TrainOptions, make_ensemble, train, unnormalize_jacobian
 from l1aug.envsim import DisturbanceSpec, make_env
 from l1aug.l1core import L1Config, default_l1_config, filter_step
-from l1aug.mbrl import LoopConfig, MpcConfig, episode_rng, run_episode, train_loop
+from l1aug.mbrl import MpcConfig, episode_rng, run_episode
 from l1aug.verify import default_synthetic_spec, run_bound_experiment, run_ts_grid, scalar_constant_spec
 
 from conftest import collect_random_rows, replay_switch_count
@@ -222,28 +227,19 @@ def test_criterion_8_disturbance_rejection(pendulum_rejection):
     assert ok
 
 
-def cartpole_arm(seed, on):
-    """Criterion 9's loop for one seed, augmented or baseline."""
-    env = make_env("cartpole")
-    dist = DisturbanceSpec(kind="action_noise", sigma_a=0.1)
-    mpc = MpcConfig(horizon=15, n_candidates=200)
-    opts = TrainOptions(max_epochs=60, patience=8)
-    l1cfg = L1Config(ts=env.dt, as_diag=np.full(env.n, -1.0), omega=0.05 / env.dt, eps_a=1.0)
-    loop = LoopConfig(iterations=5, episodes_per_iteration=8, eval_episodes=3,
-                      l1_train=on, l1_test=on, l1_warmup_iterations=1)
-    record, _ = train_loop(env, dist, loop, mpc, l1cfg, train_opts=opts, seed=seed)
-    return record
+COMPARE_CARTPOLE = Path(__file__).resolve().parents[1] / "configs" / "compare_cartpole.yaml"
 
 
 @pytest.fixture(scope="session")
 def cartpole_loop():
-    """Criterion 9 experiment: full loop, augmented vs baseline, 5 seeds spread over the usable CPUs."""
-    calls = [(seed, on) for seed in range(5) for on in (True, False)]
-    records = list(pool.map_jobs(cartpole_arm, calls, pool.usable_cpus()))
+    """Criterion 9 experiment: the cells `l1aug compare` runs for COMPARE_CARTPOLE on seeds 0-4, over the usable CPUs."""
+    cfg = resolve_config(load_config(CompareConfig, COMPARE_CARTPOLE), seed_override=tuple(range(5)))
+    records = list(pool.map_jobs(cli._compare_cell, cli._compare_calls(cfg), pool.usable_cpus()))
+    off, on = records[0::2], records[1::2]  # each seed's baseline cell comes before its augmented one
     return {
-        "on": [float(np.mean(rec.eval_returns[5])) for rec in records[0::2]],
-        "off": [float(np.mean(rec.eval_returns[5])) for rec in records[1::2]],
-        "records_on": records[0::2],
+        "on": [cli._final_window_mean(rec, cfg.report_window) for rec in on],
+        "off": [cli._final_window_mean(rec, cfg.report_window) for rec in off],
+        "records_on": on,
     }
 
 

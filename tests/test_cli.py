@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import dataclasses
 import json
 import multiprocessing
@@ -9,15 +10,18 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
 import l1aug
 from l1aug import cli, dynmodel, mbrl, pool
-from l1aug.cli import CompareConfig, RunConfig, VerifyConfig, _from_dict, load_config, resolve_config
+from l1aug.cli import CompareConfig, EnvSection, RunConfig, VerifyConfig, _from_dict, load_config, resolve_config
+from l1aug.dynmodel import TrainOptions
 from l1aug.envsim import ConfigError, DisturbanceSpec
-from l1aug.mbrl import EPISODE_COLUMNS, trace_columns
+from l1aug.l1core import L1Config, default_l1_config
+from l1aug.mbrl import EPISODE_COLUMNS, LoopConfig, MpcConfig, trace_columns
 from l1aug.verify import grid_l1_configs, make_synthetic_spec
 
 from conftest import CAN_FORK, die_in_episode_worker, die_in_first_group, force_training_path, force_usable_cpus
@@ -211,6 +215,8 @@ def test_compare_scenarios_load_as_disturbance_specs(tmp_path):
     bad = write_yaml(tmp_path / "bad.yaml", {"scenarios": [{"kind": "none"}, {"kind": "none", "sigma": 1}]})
     with pytest.raises(ConfigError, match=r"bad\.yaml\.scenarios\[1\]: unknown keys"):
         load_config(CompareConfig, bad)
+    with pytest.raises(ConfigError, match="scenarios must be a non-empty list"):
+        load_config(CompareConfig, write_yaml(tmp_path / "empty.yaml", {"scenarios": []}))
 
 
 RUN_KEYS = {
@@ -612,6 +618,56 @@ def test_cli_compare_sim_to_real_mode(tmp_path):
     assert lines[2].startswith("action_noise_sigma_a=0.1,l1,")
     meta = json.loads((tmp_path / "s2r_out" / "meta.json").read_text())
     assert meta["config"]["sim_to_real"] is True
+
+
+@pytest.mark.parametrize("sim_to_real", [False, True], ids=["loop", "sim_to_real"])
+def test_cli_compare_means_are_the_cells_final_window_means(tmp_path, sim_to_real):
+    # Each arm's mean_return over one seed is the final-window mean of the record its
+    # cell returns. Under sim_to_real the window is every deployment, so
+    # report_window 1 against two deployments must not cut it.
+    cfg_path = write_yaml(tmp_path / "c.yaml", {
+        **TINY_EXPERIMENT, "name": "cmp", "scenarios": [{"kind": "action_noise", "sigma_a": 0.1}],
+        "loop": {**TINY_EXPERIMENT["loop"], "eval_episodes": 2}, "report_window": 1, "sim_to_real": sim_to_real,
+        "out": str(tmp_path / "out"),
+    })
+    assert run_cli(["compare", str(cfg_path)], cwd=tmp_path).returncode == 0
+    with open(tmp_path / "out" / "comparison.csv", newline="") as fh:
+        written = {row["arm"]: row["mean_return"] for row in csv.DictReader(fh)}
+    cfg = resolve_config(load_config(CompareConfig, cfg_path))
+    for arm, use_l1 in (("baseline", False), ("l1", True)):
+        record = cli._compare_cell(cfg, cfg.scenarios[0], 0, use_l1)
+        if sim_to_real:
+            assert [(phase, iteration) for phase, iteration, *_ in record.episodes] == [("eval", 10_000)] * 2
+            expected = cli._final_window_mean(record, 0)
+            assert expected == np.mean(record.eval_returns[10_000])
+        else:
+            expected = cli._final_window_mean(record, cfg.report_window)
+            assert expected == record.eval_returns[1][-1]
+        assert written[arm] == repr(expected)
+
+
+COMPARE_CARTPOLE = Path(__file__).resolve().parents[1] / "configs" / "compare_cartpole.yaml"
+
+
+def test_compare_cartpole_resolves_to_the_criterion_9_pieces():
+    # Acceptance criterion 9 runs this file's cells on seeds 0-4, so an edit to
+    # the file fails here before it can move the gate. No training runs.
+    cfg = resolve_config(load_config(CompareConfig, COMPARE_CARTPOLE))
+    env, l1cfg, opts = cli._build_pieces(cfg)
+    assert cfg.env == EnvSection(name="cartpole", overrides={"horizon": 150})
+    assert (env.name, env.horizon) == ("cartpole", 150)
+    assert cfg.scenarios == [DisturbanceSpec(kind="action_noise", sigma_a=0.1)]
+    assert not cfg.sim_to_real
+    assert opts == TrainOptions(max_epochs=60, patience=8)
+    expected = default_l1_config(4, 0.04, 1.0, -1.0, 0.05)
+    for f in dataclasses.fields(L1Config):
+        assert np.array_equal(getattr(l1cfg, f.name), getattr(expected, f.name)), f.name
+    assert cfg.mpc == MpcConfig(horizon=15, n_candidates=200)
+    assert cfg.loop == LoopConfig(iterations=5, episodes_per_iteration=8, eval_episodes=3, l1_train=True,
+                                  l1_test=True, l1_warmup_iterations=1)
+    assert (cfg.model.members, cfg.model.hidden) == (3, [64, 64])
+    assert cfg.report_window == cfg.loop.eval_episodes
+    assert cfg.seeds[:5] == [0, 1, 2, 3, 4]
 
 
 def test_cli_out_root_env_var(tiny_run_cfg, tmp_path):

@@ -513,6 +513,8 @@ def test_a_non_finite_model_runs_the_episode_unaugmented(use_l1, capfd):
     if use_l1:
         assert np.array_equal(result.rows[:, c["u_a"]], np.zeros((20, env.m)))
         assert np.isnan(result.rows[:, c["sigma_m"]]).all()
+        assert np.isnan(result.rows[:, c["switch_residual"]]).all()  # undefined, so its trace cell is empty
+        assert not result.rows[:, c["switch"]].any()
 
 
 def test_horizon_zero_like_empty_dataset():
