@@ -103,6 +103,10 @@ class RunConfig(ExperimentConfig):
     disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
     ablation_grid: bool = False
 
+    def __post_init__(self):
+        if self.ablation_grid and not (self.loop.l1_train and self.loop.l1_test):
+            raise ValueError("ablation_grid sets loop.l1_train and loop.l1_test per cell; leave them true")
+
 
 @dataclass
 class SyntheticSection:
@@ -133,6 +137,8 @@ class CompareConfig(ExperimentConfig):
             raise ValueError(f"report_window must be >= 0 (0 reports every evaluation), got {self.report_window}")
         if not self.scenarios:
             raise ValueError("scenarios must be a non-empty list")
+        if not (self.loop.l1_train and self.loop.l1_test):
+            raise ValueError("compare sets loop.l1_train and loop.l1_test per arm; leave them true")
 
 
 @contextmanager

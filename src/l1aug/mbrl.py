@@ -1,11 +1,11 @@
-"""Model-learning loop: MPC baseline, episode rollouts, dataset, records.
+"""Model-learning loop: MPC baseline, episode rollouts, records and the training set they hold.
 
 The loop alternates data collection under the current model, ensemble
 retraining, and held-out evaluation. The adaptive augmentation can be
 switched on independently for the collection and evaluation phases. When it
-is on, the dataset stores the baseline input rather than the augmented one,
-so the model keeps learning the dynamics that remain after the augmentation
-cancels the uncertainty it can see.
+is on, the training set holds the baseline input rather than the augmented
+one, so the model keeps learning the dynamics that remain after the
+augmentation cancels the uncertainty it can see.
 """
 
 from __future__ import annotations
@@ -228,19 +228,28 @@ class RunRecord:
     """Everything a run produced, in insertion order, ready for CSV emission.
 
     ``episodes`` holds one ``(phase, iteration, episode, seed, result)`` entry
-    per episode; both CSV files and the evaluation returns derive from it.
-    ``dataset`` points at the accumulated training data (not serialized; used
-    by audits that cross-check the logged inputs against the trace).
+    per episode; both CSV files, the evaluation returns and the training set
+    derive from it.
     """
 
     n: int
     m: int
     episodes: list[tuple[str, int, int, int, EpisodeResult]] = field(default_factory=list)
     iteration_losses: list[dict] = field(default_factory=list)
-    dataset: TransitionDataset | None = None
 
     def add_episode(self, phase: str, iteration: int, episode: int, seed: int, result: EpisodeResult) -> None:
         self.episodes.append((phase, iteration, episode, seed, result))
+
+    @property
+    def dataset(self) -> TransitionDataset:
+        """The training set, built on each access: the collect rows' ``x`` and ``u_rl`` with their ``x_next``."""
+        c = step_columns(self.n, self.m)
+        data = TransitionDataset(self.n, self.m)
+        for phase, _, _, _, result in self.episodes:
+            if phase == PHASE_COLLECT:
+                for row, x_next in zip(result.rows, result.x_next):
+                    data.append(row[c["x"]], row[c["u_rl"]], x_next)
+        return data
 
     @property
     def eval_returns(self) -> dict[int, list[float]]:
@@ -294,27 +303,25 @@ def train_loop(
 ) -> tuple[RunRecord, Ensemble]:
     """Collect, retrain, evaluate, repeat for a fixed iteration budget.
 
-    The dataset accumulates across iterations. Evaluation episodes are
-    separate from collection episodes so the two augmentation flags act
-    independently; iteration 0 records the untrained-model evaluation. An
-    iteration whose dataset is still below ``min_rows`` rows (early
-    terminations) keeps the current model and logs empty losses; so does one
-    whose fit raises ``TrainingDivergenceError``, whose losses row also
-    carries the error as ``diverged``. A losses row also carries the train
-    report's ``initial_val`` and ``epochs_run``.
+    Each iteration trains on ``record.dataset``, every collect step so far.
+    Evaluation episodes are separate from collection episodes so the two
+    augmentation flags act independently; iteration 0 records the
+    untrained-model evaluation. An iteration whose training set is still
+    below ``min_rows`` rows (early terminations) keeps the current model and
+    logs empty losses; so does one whose fit raises
+    ``TrainingDivergenceError``, whose losses row also carries the error as
+    ``diverged``. A losses row also carries the train report's
+    ``initial_val`` and ``epochs_run``.
 
     The episodes that run on one model, iteration i - 1's evaluation and
     iteration i's collection, form one batch mapped through ``pool.map_jobs``
     over ``pool.usable_cpus()``, so ``env`` must pickle (catalog envs do).
     Each episode reads only the model and its own ``episode_rng`` stream, and
-    results come back in call order, so the record and the dataset do not
-    depend on the CPU count.
+    results come back in call order, so the record does not depend on the
+    CPU count.
     """
     record = RunRecord(n=env.n, m=env.m)
-    c = step_columns(env.n, env.m)
     model = make_ensemble(env.n, env.m, hidden=hidden, members=members, seed=seed)
-    dataset = TransitionDataset(env.n, env.m)
-    record.dataset = dataset
 
     def episodes(phase: str, iteration: int) -> list[tuple[str, int, int, bool]]:
         """(phase, iteration, episode, use_l1) of one phase's episodes."""
@@ -328,13 +335,11 @@ def train_loop(
                  for phase, iteration, ep, use_l1 in batch]
         for (phase, iteration, ep, _), result in zip(batch, pool.map_jobs(run_episode, calls, pool.usable_cpus())):
             record.add_episode(phase, iteration, ep, seed, result)
-            if phase == PHASE_COLLECT:
-                for row, x_next in zip(result.rows, result.x_next):
-                    dataset.append(row[c["x"]], row[c["u_rl"]], x_next)
 
     pending = episodes(PHASE_EVAL, 0)
     for iteration in range(1, loop_cfg.iterations + 1):
         run_batch(pending + episodes(PHASE_COLLECT, iteration))
+        dataset = record.dataset
         losses = {"iteration": iteration, "rows": len(dataset), "train_loss": [], "val_loss": [],
                   "initial_val": [], "epochs_run": []}
         if len(dataset) >= train_opts.min_rows:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import ctypes
+import gc
 import multiprocessing
 import os
 
@@ -65,7 +66,9 @@ def map_jobs(fn, calls: list[tuple], jobs: int):
     ``min(jobs, len(calls))`` worker processes, each of which first runs
     ``one_blas_thread``; otherwise they run here, leaving this process's BLAS
     threads alone. Every worker has been joined when the generator finishes
-    or raises, also when a worker dies.
+    or raises, also when a worker dies. The parent's objects are frozen out
+    of the collector while the workers fork, and thawed before any result
+    comes back.
     """
     workers = min(jobs, len(calls))
     if workers <= 1:
@@ -76,5 +79,13 @@ def map_jobs(fn, calls: list[tuple], jobs: int):
     # starts no pool does not load it (0.2 MiB of peak RSS in `l1aug verify`).
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=context,
                                                 initializer=one_blas_thread) as executor:
-        for future in [executor.submit(fn, *call) for call in calls]:
-            yield future.result()
+        # Every worker forks at the first submit. The collector skips frozen
+        # objects, so a worker's collections neither walk nor copy the heap it
+        # inherited; unfrozen, small allocation changes in the run path have
+        # cost a loop's first run a quarter of its speed.
+        gc.freeze()
+        try:
+            futures = [executor.submit(fn, *call) for call in calls]
+        finally:
+            gc.unfreeze()
+        yield from (future.result() for future in futures)

@@ -1,12 +1,14 @@
 import concurrent.futures
 import csv
 import dataclasses
+import gc
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -151,6 +153,8 @@ def test_cli_run_invalid_config_exits_1(tmp_path):
     ("compare", {"report_window": -2}),
     ("run", {"disturbance": {"kind": "constant_matched"}}),
     ("run", {"disturbance": {"kind": "sinusoid_matched", "amplitude": 0.3}}),
+    ("compare", {"loop": {"l1_train": False}}),
+    ("run", {"ablation_grid": True, "loop": {"l1_test": False}}),
 ])
 def test_cli_invalid_value_is_config_error(tmp_path, command, data):
     # run and compare cases override sections of the tiny experiment key by key, so a
@@ -445,6 +449,20 @@ def test_usable_cpus_is_the_affinity_here_and_one_in_a_worker():
         pytest.skip("needs fork and sched_getaffinity")
     assert pool.usable_cpus() == len(os.sched_getaffinity(0))
     assert list(pool.map_jobs(pool.usable_cpus, [(), ()], 2)) == [1, 1]
+
+
+def test_map_jobs_freezes_the_heap_only_while_its_workers_fork():
+    # The workers start with the parent's objects frozen; the parent's are
+    # thawed once the map returns, and also when a worker dies.
+    if not CAN_FORK:
+        pytest.skip("needs fork")
+    assert gc.get_freeze_count() == 0
+    assert all(count > 0 for count in pool.map_jobs(gc.get_freeze_count, [(), ()], 2))
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(BrokenProcessPool):
+        list(pool.map_jobs(die_in_episode_worker, [(), ()], 2))
+    assert gc.get_freeze_count() == 0
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_seed_isolation_across_out_dirs(tiny_run_cfg, tmp_path):

@@ -746,3 +746,25 @@ def test_train_loop_stores_the_baseline_input():
     assert collect[:, c["u"]].tobytes() != collect[:, c["u_rl"]].tobytes()
     starts = collect[:, c["t"]] == 0
     assert x_next[:-1][~starts[1:]].tobytes() == xs[1:][~starts[1:]].tobytes()
+
+
+def test_the_audited_training_set_is_the_one_train_received(monkeypatch):
+    # Audits read record.dataset; the last fit must have received those very
+    # rows, with the baseline input of every (augmented) collect step.
+    real_train, received = mbrl.train, []
+
+    def train(model, dataset, opts):
+        received.append([a.tobytes() for a in dataset.as_arrays()])
+        return real_train(model, dataset, opts)
+
+    monkeypatch.setattr(mbrl, "train", train)
+    env = make_env("double_integrator", {"horizon": 30})
+    loop = LoopConfig(iterations=2, episodes_per_iteration=2, eval_episodes=1)
+    record, _ = train_loop(env, DisturbanceSpec(), loop, MpcConfig(horizon=3, n_candidates=16),
+                           default_l1_config(2, env.dt, 0.3), train_opts=TrainOptions(max_epochs=3, min_rows=32),
+                           members=2, hidden=(8,), seed=5)
+    assert len(received) == 2
+    assert received[-1] == [a.tobytes() for a in record.dataset.as_arrays()]
+    c = step_columns(record.n, record.m)
+    collect = np.concatenate([result.rows for phase, *_, result in record.episodes if phase == "collect"])
+    assert received[-1][1] == collect[:, c["u_rl"]].tobytes() != collect[:, c["u"]].tobytes()
