@@ -1,4 +1,5 @@
-"""One process-pool map, shared by training's member groups, the loop's episode batches and the CLI's seeds and cells.
+"""One process-pool map, shared by training's member groups, the loop's episode batches, the bound
+report's experiments and the CLI's seeds and cells.
 
 Workers are forked where the platform can fork, and each runs OpenBLAS on one
 thread; the calls and their results travel by pickle. A worker sees one
@@ -75,8 +76,9 @@ def map_jobs(fn, calls: list[tuple], jobs: int):
         yield from (fn(*call) for call in calls)
         return
     context = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
-    # concurrent.futures imports its process pool on first use, so a run that
-    # starts no pool does not load it (0.2 MiB of peak RSS in `l1aug verify`).
+    # concurrent.futures imports its process pool on first use, so a process
+    # that starts no pool does not load it (0.2 MiB of peak RSS in `l1aug verify`
+    # at one CPU), nor does the CLI's start-up.
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=context,
                                                 initializer=one_blas_thread) as executor:
         # Every worker forks at the first submit. The collector skips frozen

@@ -10,6 +10,12 @@ grid of times. The headline checks: e stays below eps_l + eps_a on the first
 sampling interval, and its supremum afterwards shrinks linearly with the
 sampling time toward a 2 eps_a floor.
 
+``run_ts_grid`` runs the grid's experiments and the Monte-Carlo assumption
+check side by side over the usable CPUs, one ``pool.map_jobs`` call with the
+longest first; ``taskset -c 0`` runs them in turn in-process. Each is a pure
+float computation whose result comes back by pickle, so the report has the
+same bits at any CPU count.
+
 As the plant in ``envsim``, the harness steps on Python floats: the fields
 are float closed forms. The norms stay numpy's, whose bits a float square
 root of a sum of squares does not always reproduce.
@@ -17,6 +23,7 @@ root of a sum of squares does not always reproduce.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import add, mul
@@ -24,6 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import pool
 from .affine import AffineModel, reanchor
 from .envsim import ConfigError, build_from_catalog, rk4_step
 from .l1core import L1Config, default_l1_config, l1_input
@@ -43,6 +51,10 @@ class SyntheticSpec:
     own learned model: ``predict_mean`` (F + delta, in rates) and ``jacobian_u``
     wrap the fields as arrays. eps_l must bound the norm of the residual error
     W - delta over the test box, which ``check_assumption_bound`` samples.
+
+    ``run_ts_grid`` hands the spec to pool workers, so a grid's spec must
+    pickle, as the presets do; a spec with lambdas still runs through
+    ``run_bound_experiment`` and ``check_assumption_bound`` directly.
     """
 
     n: int
@@ -212,16 +224,33 @@ def grid_l1_configs(spec: SyntheticSpec, as_value: float = -1.0, omega_factor: f
     return [default_l1_config(spec.n, ts, spec.eps_a, as_value, omega_factor) for ts in spec.ts_grid]
 
 
-def run_ts_grid(spec: SyntheticSpec, as_value: float = -1.0, omega_factor: float = 0.35) -> dict:
-    """Run the bound experiment across the sampling-time grid and judge it.
+def _call(fn: Callable, *args):
+    """``fn(*args)``, so that one map runs both the experiments and the assumption check."""
+    return fn(*args)
+
+
+def run_ts_grid(spec: SyntheticSpec, as_value: float = -1.0, omega_factor: float = 0.35,
+                assumption_samples: int = 20000, assumption_seed: int = 0) -> dict:
+    """Run the bound experiment across the sampling-time grid, check the assumption bound, and judge both.
 
     Checks, per sampling time: the first-interval bound eps_l + eps_a; across
     the grid: monotone post-interval sups and a halving ratio of the
     2*eps_a-shifted sups inside [1.5, 2.5] wherever the shifted value stays
-    positive. Also reports the fitted slope line and switch-storm flags
-    (more than half the steps switching).
+    positive. Also reports the fitted slope line, switch-storm flags (more
+    than half the steps switching) and, under ``assumption``, the Monte-Carlo
+    check that the residual error stays below eps_l; ``pass`` needs both.
+
+    The experiments and the check map through ``pool.map_jobs`` over the
+    usable CPUs, longest first: the smallest ts (most intervals) first, the
+    check last. So the spec must pickle.
     """
-    traces = [run_bound_experiment(spec, cfg) for cfg in grid_l1_configs(spec, as_value, omega_factor)]
+    configs = grid_l1_configs(spec, as_value, omega_factor)
+    longest_first = sorted(range(len(configs)), key=lambda i: configs[i].ts)
+    calls = [(run_bound_experiment, spec, configs[i]) for i in longest_first]
+    calls.append((check_assumption_bound, spec, assumption_samples, np.random.default_rng(assumption_seed)))
+    *finished, assumption = pool.map_jobs(_call, calls, pool.usable_cpus())
+    by_index = dict(zip(longest_first, finished))
+    traces = [by_index[i] for i in range(len(configs))]
 
     first_bound = spec.eps_l + spec.eps_a + 1e-12
     first_ok = [tr.first_interval_max <= first_bound for tr in traces]
@@ -260,11 +289,35 @@ def run_ts_grid(spec: SyntheticSpec, as_value: float = -1.0, omega_factor: float
         "fit": fit,
         "trend_measurable": trend_measurable,
         "slope_nonnegative": slope_ok,
-        "pass": all(first_ok) and monotone and ratios_ok and slope_ok,
+        "assumption": assumption,
+        "pass": all(first_ok) and monotone and ratios_ok and slope_ok and assumption["passed"],
     }
 
 
 # --- Spec presets -----------------------------------------------------------
+#
+# A preset spec pickles by value, so a pool worker can run it: its fields are
+# module-level functions, or a functools.partial of one over a preset argument.
+
+
+def _scalar_drift(x, u):
+    return (u[0],)
+
+
+def _scalar_disturbance(d, t, x, u):
+    return (d,)
+
+
+def _scalar_model_error(x, u):
+    return (0.0,)
+
+
+def _scalar_input_jacobian(x, u):
+    return ((1.0,),)
+
+
+def _zero_input(t):
+    return np.zeros(1)
 
 
 def scalar_constant_spec(
@@ -278,27 +331,41 @@ def scalar_constant_spec(
     The model is affine in u, so the affinization error is identically zero
     and the residual error is exactly the constant d; eps_l = |d|.
     """
-
-    def drift(x, u):
-        return (u[0],)
-
-    def disturbance(t, x, u):
-        return (d,)
-
-    def model_error(x, u):
-        return (0.0,)
-
-    def input_jacobian(x, u):
-        return ((1.0,),)
-
     return SyntheticSpec(
-        n=1, m=1, drift=drift, disturbance=disturbance, model_error=model_error, input_jacobian=input_jacobian,
+        n=1, m=1, drift=_scalar_drift, disturbance=functools.partial(_scalar_disturbance, d),
+        model_error=_scalar_model_error, input_jacobian=_scalar_input_jacobian,
         eps_l=abs(d), eps_a=eps_a,
-        x0=np.zeros(1), u_star=lambda t: np.zeros(1),
+        x0=np.zeros(1), u_star=_zero_input,
         state_low=np.array([-5.0]), state_high=np.array([5.0]),
         input_low=np.array([-3.0]), input_high=np.array([3.0]),
         t_max=t_max, ts_grid=tuple(ts_grid),
     )
+
+
+# The default preset's disturbance W = (0, W_CONST + W_AMP sin(W_FREQ t)) and
+# model error delta = (D1 sin x0, D2 tanh x1 + DU sin(1.3 u)).
+W_CONST, W_AMP, W_FREQ = 0.25, 0.45, 1.7
+D1, D2, DU = 0.12, 0.08, 0.05
+
+
+def _default_drift(x, u):
+    return (x[1], -1.2 * x[0] - 0.6 * x[1] + 0.4 * math.sin(x[0]) + u[0])
+
+
+def _default_disturbance(t, x, u):
+    return (0.0, W_CONST + W_AMP * math.sin(W_FREQ * t))
+
+
+def _default_model_error(x, u):
+    return (D1 * math.sin(x[0]), D2 * math.tanh(x[1]) + DU * math.sin(1.3 * u[0]))
+
+
+def _default_input_jacobian(x, u):
+    return ((0.0,), (1.0 + DU * 1.3 * math.cos(1.3 * u[0]),))
+
+
+def _default_u_star(t):
+    return np.array([0.8 * math.sin(1.1 * t) + 0.5 * math.sin(0.37 * t + 0.5) + 0.3 * math.sin(2.3 * t + 1.1)])
 
 
 def default_synthetic_spec(
@@ -312,35 +379,13 @@ def default_synthetic_spec(
     model error includes a mild input nonlinearity so the switching law is
     exercised without storming at the default tolerance.
     """
-    w_const = 0.25
-    w_amp = 0.45
-    w_freq = 1.7
-    d1 = 0.12
-    d2 = 0.08
-    du = 0.05
-
-    def drift(x, u):
-        return (x[1], -1.2 * x[0] - 0.6 * x[1] + 0.4 * math.sin(x[0]) + u[0])
-
-    def disturbance(t, x, u):
-        return (0.0, w_const + w_amp * math.sin(w_freq * t))
-
-    def model_error(x, u):
-        return (d1 * math.sin(x[0]), d2 * math.tanh(x[1]) + du * math.sin(1.3 * u[0]))
-
-    def input_jacobian(x, u):
-        return ((0.0,), (1.0 + du * 1.3 * math.cos(1.3 * u[0]),))
-
-    # sup||W - delta|| <= sqrt(d1^2 + (w_const + w_amp + d2 + du)^2)
-    eps_l = math.sqrt(d1**2 + (w_const + w_amp + d2 + du) ** 2)
-
-    def u_star(t):
-        return np.array([0.8 * math.sin(1.1 * t) + 0.5 * math.sin(0.37 * t + 0.5) + 0.3 * math.sin(2.3 * t + 1.1)])
-
+    # sup||W - delta|| <= sqrt(D1^2 + (W_CONST + W_AMP + D2 + DU)^2)
+    eps_l = math.sqrt(D1**2 + (W_CONST + W_AMP + D2 + DU) ** 2)
     return SyntheticSpec(
-        n=2, m=1, drift=drift, disturbance=disturbance, model_error=model_error, input_jacobian=input_jacobian,
+        n=2, m=1, drift=_default_drift, disturbance=_default_disturbance, model_error=_default_model_error,
+        input_jacobian=_default_input_jacobian,
         eps_l=eps_l, eps_a=eps_a,
-        x0=np.array([0.3, 0.0]), u_star=u_star,
+        x0=np.array([0.3, 0.0]), u_star=_default_u_star,
         state_low=np.array([-4.0, -4.0]), state_high=np.array([4.0, 4.0]),
         input_low=np.array([-2.0]), input_high=np.array([2.0]),
         t_max=t_max, ts_grid=tuple(ts_grid),

@@ -18,7 +18,7 @@ import yaml
 from click.testing import CliRunner
 
 import l1aug
-from l1aug import cli, dynmodel, mbrl, pool
+from l1aug import cli, dynmodel, mbrl, pool, verify
 from l1aug.cli import CompareConfig, EnvSection, RunConfig, VerifyConfig, _from_dict, load_config, resolve_config
 from l1aug.dynmodel import TrainOptions
 from l1aug.envsim import ConfigError, DisturbanceSpec
@@ -537,6 +537,65 @@ def test_cli_verify_default_passes(tmp_path):
     assert {"ts", "first_interval_max", "post_sup", "switch_count"} <= set(report["per_ts"][0])
 
 
+# A grid that runs in well under a second.
+TINY_VERIFY = {"name": "bound", "synthetic": {"preset": "default", "params": {"t_max": 1.0}},
+               "assumption_samples": 500}
+
+
+def test_cli_verify_writes_the_same_bytes_at_one_and_two_cpus(tmp_path, monkeypatch):
+    # The grid's experiments and the assumption check run here in turn at one
+    # CPU and in two workers at two. Both must write the same bytes.
+    cfg = write_yaml(tmp_path / "v.yaml", TINY_VERIFY)
+    out = tmp_path / "vout"
+    blobs = []
+    for cpus in (1, 2):
+        force_usable_cpus(monkeypatch, cpus)
+        result = CliRunner().invoke(cli.main, ["verify", str(cfg), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        blobs.append({name: (out / name).read_bytes() for name in ("bound_report.json", "meta.json")})
+    assert blobs[0] == blobs[1]
+    assert multiprocessing.active_children() == []
+
+
+def raise_in_assumption_check(*args):
+    """Stand-in for ``verify.check_assumption_bound``: the check raises."""
+    raise RuntimeError("the assumption check fails")
+
+
+def exit_in_assumption_check(*args):
+    """Stand-in for ``verify.check_assumption_bound``: the check's worker exits."""
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("the assumption check must run in a forked worker")
+    os._exit(7)
+
+
+@pytest.mark.parametrize("check, cpus", [(raise_in_assumption_check, 1), (raise_in_assumption_check, 2),
+                                         (exit_in_assumption_check, 2)], ids=["raises-1", "raises-2", "exits-2"])
+def test_cli_verify_exits_3_when_the_assumption_check_fails(tmp_path, monkeypatch, check, cpus):
+    force_usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(verify, "check_assumption_bound", check)
+    cfg = write_yaml(tmp_path / "v.yaml", TINY_VERIFY)
+    out = tmp_path / "vout"
+    start = time.monotonic()
+    result = CliRunner().invoke(cli.main, ["verify", str(cfg), "--out", str(out)])
+    assert time.monotonic() - start < 30.0
+    assert result.exit_code == 3, result.output
+    assert ("BrokenProcessPool" if check is exit_in_assumption_check else "the assumption check fails") in result.output
+    assert not (out / "bound_report.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
+    # concurrent.futures loads its process pool on first use; every command
+    # would pay for that import at start-up if the CLI's import pulled it in.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [L1AUG_ROOT, env.get("PYTHONPATH")]))
+    code = "import sys, l1aug.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_verify_empty_ts_grid_is_config_error(tmp_path):
     cfg = write_yaml(tmp_path / "v.yaml", {
         "name": "bound",
@@ -636,6 +695,56 @@ def test_cli_compare_sim_to_real_mode(tmp_path):
     assert lines[2].startswith("action_noise_sigma_a=0.1,l1,")
     meta = json.loads((tmp_path / "s2r_out" / "meta.json").read_text())
     assert meta["config"]["sim_to_real"] is True
+
+
+TINY_SIM_TO_REAL = {**TINY_EXPERIMENT, "name": "s2r", "sim_to_real": True,
+                    "scenarios": [{"kind": "none"}, {"kind": "action_noise", "sigma_a": 0.1}]}
+
+
+def test_cli_compare_sim_to_real_fits_each_seed_once(tmp_path, monkeypatch):
+    # Both scenarios and both arms deploy the seed's one clean model, and the
+    # table has the same bytes at one and two CPUs.
+    cfg = write_yaml(tmp_path / "s2r.yaml", TINY_SIM_TO_REAL)
+    out = tmp_path / "out"
+    real_train_loop = cli.train_loop
+    blobs = []
+    for cpus in (1, 2):
+        force_usable_cpus(monkeypatch, cpus)
+        fits = []
+
+        def train_loop(*args, seed, **kwargs):
+            fits.append(seed)
+            return real_train_loop(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(cli, "train_loop", train_loop)
+        result = CliRunner().invoke(cli.main, ["compare", str(cfg), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert fits == [0]
+        blobs.append({name: (out / name).read_bytes() for name in ("comparison.csv", "meta.json")})
+    assert blobs[0] == blobs[1]
+    assert len(blobs[0]["comparison.csv"].splitlines()) == 5
+    assert multiprocessing.active_children() == []
+
+
+def raise_in_noisy_augmented_episode(env, dist, model, mpc, l1cfg, use_l1, rng):
+    """Stand-in for ``cli.run_episode``: an augmented deployment under action noise raises."""
+    if dist.kind == "action_noise" and use_l1:
+        raise RuntimeError("a cell of the second scenario fails")
+    return mbrl.run_episode(env, dist, model, mpc, l1cfg, use_l1, rng)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_cli_compare_sim_to_real_flushes_finished_scenarios_when_a_cell_raises(tmp_path, monkeypatch, cpus):
+    force_usable_cpus(monkeypatch, cpus)
+    cfg = write_yaml(tmp_path / "s2r.yaml", TINY_SIM_TO_REAL)
+    clean, out = tmp_path / "clean", tmp_path / "partial"
+    assert run_cli(["compare", str(cfg), "--out", str(clean)], cwd=tmp_path).returncode == 0
+    monkeypatch.setattr(cli, "run_episode", raise_in_noisy_augmented_episode)
+    result = CliRunner().invoke(cli.main, ["compare", str(cfg), "--out", str(out)])
+    assert result.exit_code == 3
+    assert "partial outputs flushed" in result.output
+    assert multiprocessing.active_children() == []
+    assert (out / "comparison.csv").read_text().splitlines() == (clean / "comparison.csv").read_text().splitlines()[:3]
 
 
 @pytest.mark.parametrize("sim_to_real", [False, True], ids=["loop", "sim_to_real"])

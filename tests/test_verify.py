@@ -1,9 +1,11 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from l1aug import pool
 from l1aug.affine import reanchor
 from l1aug.envsim import ConfigError, rk4_step
 from l1aug.l1core import L1Config, l1_input
@@ -13,11 +15,14 @@ from l1aug.verify import (
     check_assumption_bound,
     default_synthetic_spec,
     fit_sup_line,
+    grid_l1_configs,
     make_synthetic_spec,
     run_bound_experiment,
     run_ts_grid,
     scalar_constant_spec,
 )
+
+from conftest import force_usable_cpus
 
 
 def cfg_for(spec, ts, lam=-1.0, omega_factor=0.35):
@@ -235,6 +240,25 @@ def test_ts_grid_report_passes_default_spec():
     assert report["pass"]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ts_grid_maps_longest_first_and_reports_in_grid_order(monkeypatch, cpus):
+    force_usable_cpus(monkeypatch, cpus)
+    real_map_jobs, submitted = pool.map_jobs, []
+
+    def map_jobs(fn, calls, jobs):
+        submitted.extend(call[2].ts if call[0] is run_bound_experiment else call[0].__name__ for call in calls)
+        return real_map_jobs(fn, calls, jobs)
+
+    monkeypatch.setattr(pool, "map_jobs", map_jobs)
+    spec = default_synthetic_spec(t_max=1.0, ts_grid=(0.01, 0.02, 0.005))
+    report = run_ts_grid(spec, assumption_samples=300, assumption_seed=4)
+    assert submitted == [0.005, 0.01, 0.02, "check_assumption_bound"]
+    want = [run_bound_experiment(spec, cfg) for cfg in grid_l1_configs(spec)]
+    assert [(row["ts"], row["first_interval_max"], row["post_sup"], row["switch_count"]) for row in report["per_ts"]] \
+        == [(tr.ts, tr.first_interval_max, tr.post_sup, tr.switch_count) for tr in want]
+    assert report["assumption"] == check_assumption_bound(spec, 300, np.random.default_rng(4))
+
+
 def test_assumption_bound_zero_error():
     spec = affine_noiseless_spec()
     report = check_assumption_bound(spec, 500, np.random.default_rng(0))
@@ -327,6 +351,21 @@ def test_spec_validation():
             input_low=spec.input_low, input_high=spec.input_high,
             t_max=1.0, ts_grid=(),
         )
+
+
+@pytest.mark.parametrize("spec,ts", [
+    (default_synthetic_spec(t_max=1.0), 0.01),
+    (default_synthetic_spec(eps_a=1e-9, t_max=1.0), 0.01),
+    (scalar_constant_spec(d=-0.3, t_max=1.0), 0.1),
+], ids=["default", "default-eps_a-1e-9", "scalar_constant-d"])
+def test_preset_specs_pickle_and_run_the_same(spec, ts):
+    # run_ts_grid hands its spec to pool workers, which get it by pickle.
+    copy = pickle.loads(pickle.dumps(spec))
+    want, got = run_bound_experiment(spec, cfg_for(spec, ts)), run_bound_experiment(copy, cfg_for(spec, ts))
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.e_norms, want.e_norms)
+    assert np.array_equal(got.sigma_per_interval, want.sigma_per_interval)
+    assert got.switch_count == want.switch_count
 
 
 def test_switch_storm_flagged_for_tiny_eps_a():
