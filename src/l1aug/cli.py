@@ -429,11 +429,8 @@ def _final_window_mean(record: RunRecord, window: int) -> float:
 
 
 def _compare_cell(cfg: CompareConfig, scenario: DisturbanceSpec, seed: int, use_l1: bool) -> RunRecord:
-    """The record of one (scenario, seed, arm) cell: the loop's own, or under ``sim_to_real`` the
-    ``_deploy_cell`` record of the seed's ``_clean_model``."""
-    if not cfg.sim_to_real:
-        return _train_loop(cfg, scenario, replace(cfg.loop, l1_train=use_l1, l1_test=use_l1), seed)[0]
-    return _deploy_cell(cfg, scenario, seed, use_l1, _clean_model(cfg, seed))
+    """The record of one (scenario, seed, arm) loop-mode cell: the loop run with both flags set to ``use_l1``."""
+    return _train_loop(cfg, scenario, replace(cfg.loop, l1_train=use_l1, l1_test=use_l1), seed)[0]
 
 
 def _clean_model(cfg: CompareConfig, seed: int) -> Ensemble:

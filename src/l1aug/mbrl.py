@@ -142,11 +142,11 @@ class EpisodeResult:
     ``rows`` has the columns of ``step_columns``; NaN marks a value that does
     not exist: with the adaptive loop off, the controller columns from
     ``xhat`` to ``u_a`` plus ``switch_residual`` and ``anchor_norm``.
-    ``x_next`` holds the observed next state of each step.
+    ``x_final`` is the state observed after the last executed step.
     """
 
     rows: Array
-    x_next: Array
+    x_final: Array
     episode_return: float
     terminated_early: bool
 
@@ -168,16 +168,17 @@ def run_episode(
 
     Each step samples the baseline input, runs one ``l1_control`` step
     (switching law and adaptive law) when the adaptive loop is on, executes
-    on the true system, and records (x_t, u_RL, x_{t+1}). The controller and
-    the recorded rows see observations; the integrator sees the true state.
-    Divergence ends the episode with partial data retained.
+    on the true system, and records (x_t, u_RL) in the step's row; x_{t+1} is
+    the next row's ``x``, or ``x_final`` after the last step. The controller
+    and the rows see observations; the integrator sees the true state.
+    Divergence ends the episode with its rows so far, and ``x_final`` is then
+    the last finite observation.
     """
     x_true = env.x0_sampler(rng)
     x_obs = x_true
     l1 = L1State.initial(x_obs, env.m)
     c = step_columns(env.n, env.m)
     rows = np.full((env.horizon, len(trace_columns(env.n, env.m)) - len(TRACE_KEYS)), np.nan)
-    x_next = np.empty((env.horizon, env.n))
     episode_return = 0.0
     steps = env.horizon
     for t in range(env.horizon):
@@ -212,11 +213,10 @@ def run_episode(
         row[c["reward"]] = trans.reward
         if use_l1:
             row[c["u_a"]] = trans.u_applied - env.clamp_input(u_rl)
-        x_next[t] = trans.x_next
         x_true = trans.x_next_true
         x_obs = trans.x_next
 
-    return EpisodeResult(rows=rows[:steps], x_next=x_next[:steps], episode_return=episode_return,
+    return EpisodeResult(rows=rows[:steps], x_final=x_obs, episode_return=episode_return,
                          terminated_early=steps < env.horizon)
 
 
@@ -242,12 +242,14 @@ class RunRecord:
 
     @property
     def dataset(self) -> TransitionDataset:
-        """The training set, built on each access: the collect rows' ``x`` and ``u_rl`` with their ``x_next``."""
+        """The training set, built on each access: the collect rows' ``x`` and ``u_rl``, each with the
+        next row's ``x`` as its next state, and the episode's ``x_final`` for its last row."""
         c = step_columns(self.n, self.m)
         data = TransitionDataset(self.n, self.m)
         for phase, _, _, _, result in self.episodes:
             if phase == PHASE_COLLECT:
-                for row, x_next in zip(result.rows, result.x_next):
+                next_states = np.vstack((result.rows[:, c["x"]], result.x_final))[1:]
+                for row, x_next in zip(result.rows, next_states):
                     data.append(row[c["x"]], row[c["u_rl"]], x_next)
         return data
 

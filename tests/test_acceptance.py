@@ -182,8 +182,10 @@ def test_criterion_7_zero_uncertainty_transparency():
     clean = DisturbanceSpec()
     off = run_episode(env, clean, ExactDI(), mpc, l1cfg, False, episode_rng(0, 0, 0, "eval"))
     on = run_episode(env, clean, ExactDI(), mpc, l1cfg, True, episode_rng(0, 0, 0, "eval"))
-    max_ua = float(np.max(np.abs(on.rows[:, mbrl.step_columns(env.n, env.m)["u_a"]])))
-    max_traj = max(float(np.max(np.abs(a - b))) for a, b in zip(on.x_next, off.x_next))
+    c = mbrl.step_columns(env.n, env.m)
+    max_ua = float(np.max(np.abs(on.rows[:, c["u_a"]])))
+    on_traj, off_traj = (np.vstack((r.rows[:, c["x"]], r.x_final)) for r in (on, off))
+    max_traj = max(float(np.max(np.abs(a - b))) for a, b in zip(on_traj, off_traj))
     ok = max_ua <= 1e-9 and max_traj <= 1e-9 and on.steps == 200
     report(7, ok, f"max |u_a| = {max_ua:.1e}, max trajectory gap = {max_traj:.1e} over 200 steps (tol 1e-9)")
     assert ok

@@ -762,12 +762,13 @@ def test_cli_compare_means_are_the_cells_final_window_means(tmp_path, sim_to_rea
         written = {row["arm"]: row["mean_return"] for row in csv.DictReader(fh)}
     cfg = resolve_config(load_config(CompareConfig, cfg_path))
     for arm, use_l1 in (("baseline", False), ("l1", True)):
-        record = cli._compare_cell(cfg, cfg.scenarios[0], 0, use_l1)
         if sim_to_real:
+            record = cli._deploy_cell(cfg, cfg.scenarios[0], 0, use_l1, cli._clean_model(cfg, 0))
             assert [(phase, iteration) for phase, iteration, *_ in record.episodes] == [("eval", 10_000)] * 2
             expected = cli._final_window_mean(record, 0)
             assert expected == np.mean(record.eval_returns[10_000])
         else:
+            record = cli._compare_cell(cfg, cfg.scenarios[0], 0, use_l1)
             expected = cli._final_window_mean(record, cfg.report_window)
             assert expected == record.eval_returns[1][-1]
         assert written[arm] == repr(expected)

@@ -317,6 +317,7 @@ def test_run_episode_terminates_on_leaving_state_box():
     assert result.terminated_early
     assert result.steps < 50
     assert result.episode_return == pytest.approx(sum(result.rows[:, step_columns(env.n, env.m)["reward"]]))
+    assert not env.in_state_bounds(result.x_final)
 
 
 class SquareModel:
@@ -331,7 +332,8 @@ class SquareModel:
 
 def test_divergence_keeps_partial_rows_and_counts_only_their_switches(tmp_path):
     # x rises at unit rate and the drift turns NaN past 0.33: step t = 3
-    # (x = 0.3 -> 0.4) diverges after its switch, and its row is dropped.
+    # (x = 0.3 -> 0.4) diverges after its switch, and its row is dropped;
+    # x = 0.3 is the last observation.
     env = envsim.EnvSpec(
         name="diverging", n=1, m=1, dt=0.1, horizon=10,
         drift=lambda x, u: np.ones(1) if x[0] < 0.33 else np.full(1, np.nan),
@@ -345,6 +347,7 @@ def test_divergence_keeps_partial_rows_and_counts_only_their_switches(tmp_path):
                          True, episode_rng(0, 0, 0, "eval"))
     assert result.terminated_early
     assert result.steps == 3
+    assert result.x_final == pytest.approx([0.3])
     record = RunRecord(n=env.n, m=env.m)
     record.add_episode("eval", 0, 0, 0, result)
     record.write_trace_csv(tmp_path / "trace.csv")
@@ -381,9 +384,10 @@ def test_transparency_pairing_exact_model():
     on = run_episode(env, DisturbanceSpec(), ExactDI(), mpc, l1cfg, True, episode_rng(3, 0, 0, "eval"))
     assert on.steps == off.steps
     c = step_columns(env.n, env.m)
-    for a, b, a_next, b_next in zip(on.rows, off.rows, on.x_next, off.x_next):
+    for a, b in zip(on.rows, off.rows):
         assert np.allclose(a[c["u"]], b[c["u"]], atol=1e-9)
-        assert np.allclose(a_next, b_next, atol=1e-9)
+    on_traj, off_traj = (np.vstack((r.rows[:, c["x"]], r.x_final)) for r in (on, off))
+    assert np.allclose(on_traj, off_traj, atol=1e-9)
     max_ua = max(abs(float(r[c["u_a"]][0])) for r in on.rows)
     assert max_ua <= 1e-9
 
@@ -736,16 +740,18 @@ def test_trace_csv_cells_equal_the_row_arrays(di_setup, tmp_path):
 
 def test_train_loop_stores_the_baseline_input():
     # The dataset rows are the collect rows' (x, u_rl) and the observed next
-    # states, bit for bit, and collection was augmented.
+    # states (each episode's later rows' x, then its x_final), bit for bit,
+    # and collection was augmented.
     record = _tiny_loop_record(True, True)
     c = step_columns(record.n, record.m)
-    collect = np.concatenate([result.rows for phase, *_, result in record.episodes if phase == "collect"])
+    collect = [result for phase, *_, result in record.episodes if phase == "collect"]
+    rows = np.concatenate([result.rows for result in collect])
+    next_states = np.concatenate([np.vstack((result.rows[1:, c["x"]], result.x_final)) for result in collect])
     xs, us, x_next = record.dataset.as_arrays()
-    assert xs.tobytes() == collect[:, c["x"]].tobytes()
-    assert us.tobytes() == collect[:, c["u_rl"]].tobytes()
-    assert collect[:, c["u"]].tobytes() != collect[:, c["u_rl"]].tobytes()
-    starts = collect[:, c["t"]] == 0
-    assert x_next[:-1][~starts[1:]].tobytes() == xs[1:][~starts[1:]].tobytes()
+    assert xs.tobytes() == rows[:, c["x"]].tobytes()
+    assert us.tobytes() == rows[:, c["u_rl"]].tobytes()
+    assert rows[:, c["u"]].tobytes() != rows[:, c["u_rl"]].tobytes()
+    assert x_next.tobytes() == next_states.tobytes()
 
 
 def test_the_audited_training_set_is_the_one_train_received(monkeypatch):
