@@ -6,11 +6,12 @@ At each sample, one ``l1_control`` call: the switching law picks the model,
 the prediction error drives a memoryless, piecewise-constant adaptation law
 whose gain inverts the exact interval response of the error dynamics, and
 the matched component of the estimate is low-pass filtered and subtracted
-from the baseline input.
+from the baseline input. ``l1_control`` also logs the unmatched component,
+which the bound harness, calling ``l1_input`` itself, never computes.
 
 Units convention: the uncertainty estimate ``sigma_rate`` is expressed in
 state-units per second and multiplied by the sampling time wherever an
-increment is needed (predictor update and matched/unmatched split). This
+increment is needed (predictor update, matched solve, unmatched split). This
 makes the discrete recursion the Euler discretization of the continuous
 predictor. The analysis does not carry over exactly: the gain inverts the
 exact response exp(As ts), and it is not deadbeat for the Euler error
@@ -103,12 +104,12 @@ def orthonormal_complement(h: Array) -> Array:
     return q_full[:, h.shape[1]:]
 
 
-def decompose(h: Array, sigma_rate: Array, ts: float) -> tuple[Array, Array]:
-    """Split the per-step uncertainty increment along and across the input channel.
+def decompose(h: Array, sigma_rate: Array, ts: float) -> Array:
+    """The matched component sigma_m of the per-step uncertainty increment, in input units.
 
-    Solves sigma_rate * ts = h sigma_m + h_perp sigma_um with h_perp an
-    orthonormal complement basis, so sigma_m is in input units. sigma_m is
-    the minimum-norm least-squares solve, which drops singular values below
+    sigma_rate * ts = h sigma_m + h_perp sigma_um with h_perp an orthonormal
+    complement basis; ``l1_control`` computes sigma_um, which only its trace
+    reads. sigma_m is the minimum-norm least-squares solve, which drops singular values below
     ``RANK_TOL`` times the largest. A smallest singular value below
     ``RANK_TOL`` is a rank fallback, logged (one WARNING per call); sigma_m
     is then the pseudo-inverse solve cut at ``RANK_TOL`` itself, which zeroes
@@ -120,9 +121,7 @@ def decompose(h: Array, sigma_rate: Array, ts: float) -> tuple[Array, Array]:
     if sv.min() < RANK_TOL:
         log.warning("decompose: input channel near rank-deficient (smallest sv %.3e)", sv.min())
         sigma_m = np.linalg.pinv(h, rcond=RANK_TOL / max(sv.max(), RANK_TOL)) @ increment
-    h_perp = orthonormal_complement(h)
-    sigma_um = h_perp.T @ increment
-    return sigma_m, sigma_um
+    return sigma_m
 
 
 def filter_step(q: Array, sigma_m: Array, cfg: L1Config) -> tuple[Array, Array]:
@@ -135,17 +134,17 @@ def filter_step(q: Array, sigma_m: Array, cfg: L1Config) -> tuple[Array, Array]:
     return q_next, -q_next
 
 
-def l1_input(u_rl: Array, xtilde: Array, h: Array, q: Array, cfg: L1Config) -> tuple[Array, Array, Array, Array, Array]:
-    """The adaptive law at one sample: adaptation, matched/unmatched split, filter.
+def l1_input(u_rl: Array, xtilde: Array, h: Array, q: Array, cfg: L1Config) -> tuple[Array, Array, Array, Array]:
+    """The adaptive law at one sample: adaptation, matched solve, filter.
 
     ``h`` is the input gain in increment units. Returns the augmented input
-    u_rl + u_a, the estimate sigma_rate, its split (sigma_m, sigma_um) and
+    u_rl + u_a, the estimate sigma_rate, its matched component sigma_m and
     the next filter state.
     """
     sigma_rate = adapt(xtilde, cfg)
-    sigma_m, sigma_um = decompose(h, sigma_rate, cfg.ts)
+    sigma_m = decompose(h, sigma_rate, cfg.ts)
     q_next, u_a = filter_step(q, sigma_m, cfg)
-    return u_rl + u_a, sigma_rate, sigma_m, sigma_um, q_next
+    return u_rl + u_a, sigma_rate, sigma_m, q_next
 
 
 def l1_control(u_rl: Array, x: Array, model: object, state: L1State, cfg: L1Config
@@ -168,6 +167,7 @@ def l1_control(u_rl: Array, x: Array, model: object, state: L1State, cfg: L1Conf
         estimates = tuple(np.full(k, np.nan) for k in (n, n, m, max(n - m, 0)))
         return u_rl, L1State.initial(x, m), estimates, SwitchDecision(False, np.nan, decision.parts)
     xtilde = state.xhat - x
-    u, sigma_rate, sigma_m, sigma_um, q_next = l1_input(u_rl, xtilde, h, state.q, cfg)
+    u, sigma_rate, sigma_m, q_next = l1_input(u_rl, xtilde, h, state.q, cfg)
+    sigma_um = orthonormal_complement(h).T @ (sigma_rate * cfg.ts)
     xhat_next = state.xhat + am.predict(decision.parts, u) + (sigma_rate + cfg.as_diag * xtilde) * cfg.ts
     return u, L1State(xhat=xhat_next, q=q_next, am=am), (xtilde, sigma_rate, sigma_m, sigma_um), decision

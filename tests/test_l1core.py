@@ -118,28 +118,33 @@ def test_adapt_error_halves_with_ts():
 # --- Matched/unmatched decomposition ---------------------------------------------
 
 
+def split(h, sigma_rate, ts):
+    """``decompose``'s sigma_m and the sigma_um that ``l1_control`` logs, by the expression it uses."""
+    return decompose(h, sigma_rate, ts), orthonormal_complement(h).T @ (sigma_rate * ts)
+
+
 def test_decompose_canonical_axes():
     h = np.array([[1.0], [0.0]])
-    sigma_m, sigma_um = decompose(h, np.array([3.0, 7.0]), ts=1.0)
+    sigma_m, sigma_um = split(h, np.array([3.0, 7.0]), ts=1.0)
     assert sigma_m[0] == pytest.approx(3.0, abs=1e-12)
     assert abs(sigma_um[0]) == pytest.approx(7.0, abs=1e-12)
 
 
 def test_decompose_hand_least_squares():
     h = np.array([[1.0], [1.0]])
-    sigma_m, sigma_um = decompose(h, np.array([2.0, 0.0]), ts=1.0)
+    sigma_m, sigma_um = split(h, np.array([2.0, 0.0]), ts=1.0)
     assert sigma_m[0] == pytest.approx(1.0, abs=1e-12)
     assert abs(sigma_um[0]) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_decompose_zero_gives_zero():
-    sigma_m, sigma_um = decompose(np.array([[1.0], [1.0]]), np.zeros(2), ts=0.05)
+    sigma_m, sigma_um = split(np.array([[1.0], [1.0]]), np.zeros(2), ts=0.05)
     assert np.array_equal(sigma_m, np.zeros(1))
     assert np.array_equal(sigma_um, np.zeros(1))
 
 
 def test_decompose_square_channel_has_empty_complement():
-    sigma_m, sigma_um = decompose(np.array([[2.0]]), np.array([1.0]), ts=0.5)
+    sigma_m, sigma_um = split(np.array([[2.0]]), np.array([1.0]), ts=0.5)
     assert sigma_m[0] == pytest.approx(0.25, abs=1e-14)
     assert sigma_um.shape == (0,)
 
@@ -152,7 +157,7 @@ def test_complement_of_a_spanning_channel_is_empty(shape):
 
 def test_decompose_rank_deficient_warns(caplog):
     with caplog.at_level(logging.WARNING, logger="l1aug.l1core"):
-        sigma_m, sigma_um = decompose(np.zeros((2, 1)), np.array([1.0, 1.0]), ts=1.0)
+        sigma_m = decompose(np.zeros((2, 1)), np.array([1.0, 1.0]), ts=1.0)
     assert "rank" in caplog.text
     assert np.all(np.isfinite(sigma_m))
 
@@ -160,7 +165,7 @@ def test_decompose_rank_deficient_warns(caplog):
 def test_decompose_truncates_the_channel_it_warns_about(caplog):
     # One column is never cut by a relative cutoff; the absolute one zeroes it.
     with caplog.at_level(logging.WARNING, logger="l1aug.l1core"):
-        sigma_m, sigma_um = decompose(np.array([[1e-12], [0.0]]), np.ones(2), 1.0)
+        sigma_m = decompose(np.array([[1e-12], [0.0]]), np.ones(2), 1.0)
     assert np.array_equal(sigma_m, [0.0])
     assert [r.levelno for r in caplog.records if r.name == "l1aug.l1core"] == [logging.WARNING]
 
@@ -189,7 +194,7 @@ def test_decompose_matches_svd_reference_bit_for_bit_on_full_rank_channels(caplo
                         if np.linalg.svd(h, compute_uv=False).min() < 1e-8:
                             continue  # the reference's pseudo-inverse path; see the rank-deficient test
                         sigma_rate = rng.normal(size=n)
-                        got = decompose(h, sigma_rate, 0.05)
+                        got = split(h, sigma_rate, 0.05)
                         want = svd_pinv_decompose(h, sigma_rate, 0.05)
                         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert not caplog.records
@@ -202,7 +207,7 @@ def test_decompose_matches_svd_reference_bit_for_bit_on_full_rank_channels(caplo
 def test_decompose_rank_deficient_matches_pseudo_inverse_and_logs_once(h, caplog):
     sigma_rate = np.random.default_rng(3).normal(size=h.shape[0])
     with caplog.at_level(logging.WARNING, logger="l1aug.l1core"):
-        sigma_m, sigma_um = decompose(h, sigma_rate, 0.1)
+        sigma_m, sigma_um = split(h, sigma_rate, 0.1)
     want_m, want_um = svd_pinv_decompose(h, sigma_rate, 0.1)
     assert np.allclose(sigma_m, want_m, rtol=1e-9, atol=1e-12)
     assert np.array_equal(sigma_um, want_um)
@@ -220,7 +225,7 @@ def test_decompose_reconstruction(seed):
         return
     sigma_rate = rng.normal(size=n)
     ts = 0.05
-    sigma_m, sigma_um = decompose(h, sigma_rate, ts)
+    sigma_m, sigma_um = split(h, sigma_rate, ts)
     recon = h @ sigma_m + orthonormal_complement(h) @ sigma_um
     target = sigma_rate * ts
     assert np.linalg.norm(recon - target) <= 1e-10 * max(1.0, np.linalg.norm(target))
@@ -349,6 +354,32 @@ def test_l1_control_rejects_constant_disturbance():
     u_a = u[0]
     assert -0.5 <= u_a <= -0.45  # rejects at least 90 percent of d
     assert u_a == pytest.approx(-d * math.exp(-ts), abs=1e-6)
+
+
+class PlanarModel:
+    """Increment model of a damped planar system whose input enters both states: n = 2, m = 1."""
+
+    def __init__(self, ts):
+        self.ts = ts
+
+    def predict_mean(self, x, u):
+        return self.ts * np.array([x[1] + 0.3 * u[0], -0.8 * x[0] - 0.2 * x[1] + u[0]])
+
+    def jacobian_u(self, x, u):
+        return self.ts * np.array([[0.3], [1.0]])
+
+
+def test_l1_control_sigma_um_is_the_complement_projection_bit_for_bit():
+    ts = 0.05
+    model, cfg = PlanarModel(ts), default_l1_config(2, ts, eps_a=0.1)
+    rng = np.random.default_rng(5)
+    x = np.array([0.2, -0.1])
+    l1 = L1State.initial(x, 1)
+    for _ in range(40):
+        u, l1, (_, sigma_rate, _, sigma_um), decision = l1_control(rng.uniform(-1, 1, 1), x, model, l1, cfg)
+        assert np.array_equal(sigma_um, orthonormal_complement(decision.parts[1]).T @ (sigma_rate * cfg.ts))
+        x = x + model.predict_mean(x, u) + ts * np.array([0.4, -0.3])
+    assert sigma_um.shape == (1,) and sigma_um[0] != 0.0
 
 
 def test_l1_state_initialization():

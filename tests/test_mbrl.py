@@ -11,7 +11,7 @@ from l1aug import envsim, mbrl
 from l1aug.affine import reanchor
 from l1aug.dynmodel import Normalizer, TrainingDivergenceError, TrainOptions, make_ensemble
 from l1aug.envsim import DisturbanceSpec, make_env
-from l1aug.l1core import default_l1_config, l1_input
+from l1aug.l1core import default_l1_config, l1_input, orthonormal_complement
 from l1aug.mbrl import (
     EPISODE_COLUMNS,
     LoopConfig,
@@ -433,7 +433,8 @@ def assert_controller_columns_replay(env, model, l1cfg, result):
         x, u_rl = row[c["x"]], row[c["u_rl"]]
         am, decision = reanchor(am, model, x, u_rl, l1cfg.eps_a)
         xtilde = xhat - x
-        u, sigma, sigma_m, sigma_um, q = l1_input(u_rl, xtilde, decision.parts[1], q, l1cfg)
+        u, sigma, sigma_m, q = l1_input(u_rl, xtilde, decision.parts[1], q, l1cfg)
+        sigma_um = orthonormal_complement(decision.parts[1]).T @ (sigma * l1cfg.ts)
         u_a = env.clamp_input(u) - env.clamp_input(u_rl)
         for name, value in (("xhat", xhat), ("xtilde", xtilde), ("sigma", sigma), ("sigma_m", sigma_m),
                             ("sigma_um", sigma_um), ("u_a", u_a)):

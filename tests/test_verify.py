@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from l1aug import pool
+from l1aug import l1core, pool
 from l1aug.affine import reanchor
 from l1aug.envsim import ConfigError, rk4_step
 from l1aug.l1core import L1Config, l1_input
@@ -17,6 +17,7 @@ from l1aug.verify import (
     fit_sup_line,
     grid_l1_configs,
     make_synthetic_spec,
+    row_norms,
     run_bound_experiment,
     run_ts_grid,
     scalar_constant_spec,
@@ -58,7 +59,7 @@ def reference_bound_experiment(spec, cfg):
         am, decision = reanchor(am, spec, x, u_rl, spec.eps_a)
         switch_count += int(decision.switch)
         _, jac = am.parts(x)
-        u, sigma_rate, _, _, q = l1_input(u_rl, xtilde, jac * ts, q, cfg)
+        u, sigma_rate, _, q = l1_input(u_rl, xtilde, jac * ts, q, cfg)
         sigmas[i] = sigma_rate
         u = np.clip(u, spec.input_low, spec.input_high)
 
@@ -134,7 +135,7 @@ def array_bound_experiment(spec, cfg):
         am, decision = reanchor(am, spec, x, u_rl, spec.eps_a)
         switch_count += int(decision.switch)
         parts = decision.parts
-        u, sigma_rate, _, _, q = l1_input(u_rl, xtilde, parts[1] * ts, q, cfg)
+        u, sigma_rate, _, q = l1_input(u_rl, xtilde, parts[1] * ts, q, cfg)
         sigmas[i] = sigma_rate
         u = np.clip(u, spec.input_low, spec.input_high)
         stage = 0
@@ -190,10 +191,34 @@ def test_assumption_bound_matches_per_sample_draws(seed):
         t = rng.uniform(0.0, spec.t_max)
         x = rng.uniform(spec.state_low, spec.state_high)
         u = rng.uniform(spec.input_low, spec.input_high)
-        worst = max(worst, float(np.linalg.norm(spec.residual_error(t, x, u))))
+        worst = max(worst, float(np.linalg.norm(np.subtract(spec.disturbance(t, x, u), spec.model_error(x, u)))))
     report = check_assumption_bound(spec, 3000, np.random.default_rng(seed))
     assert report["sup_estimate"] == worst
     assert report["sup_estimate"] == array_assumption_sup(array_default(spec), 3000, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_row_norms_match_numpy_norm_row_by_row(n):
+    # The report's bits rest on each stacked row being the same ddot as np.linalg.norm's.
+    rng = np.random.default_rng(n)
+    rows = np.concatenate([rng.normal(size=(4000, n)), np.zeros((50, n)),
+                           1e-160 * rng.normal(size=(2000, n)), 1e150 * rng.normal(size=(2000, n))])
+    assert same_bits(row_norms(rows.tolist()), [np.linalg.norm(row) for row in rows])
+
+
+def test_bound_experiment_reaches_no_qr_and_one_norm_per_interval_at_most(monkeypatch):
+    def refuse(h):
+        raise AssertionError("the bound harness computes no unmatched split")
+
+    monkeypatch.setattr(l1core, "orthonormal_complement", refuse)
+    real_norm, calls = np.linalg.norm, []
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or real_norm(*a, **k))
+    spec = default_synthetic_spec(t_max=1.0)
+    trace = run_bound_experiment(spec, cfg_for(spec, 0.01))
+    assert 0 < len(calls) <= trace.n_intervals  # the switching check's, once per sample
+    calls.clear()
+    check_assumption_bound(spec, 500, np.random.default_rng(0))
+    assert not calls
 
 
 def test_zero_uncertainty_error_is_machine_scale():
@@ -299,6 +324,18 @@ def test_assumption_bound_negative_control():
     )
     report = check_assumption_bound(bad, 200, np.random.default_rng(0))
     assert not report["passed"]
+
+
+def test_assumption_bound_fails_on_non_finite_residual(capsys):
+    # NaN only at x[0] > 1, so construction, which evaluates the fields at x0 = 0, accepts the spec.
+    spec = replace(affine_noiseless_spec(), eps_l=1.0,
+                   model_error=lambda x, u: (0.0, math.nan if x[0] > 1.0 else 0.5))
+    report = check_assumption_bound(spec, 400, np.random.default_rng(2))
+    draws = np.random.default_rng(2).uniform([0.0, -3.0, -3.0, -2.0], [2.0, 3.0, 3.0, 2.0], size=(400, 4))
+    assert report == {"sup_estimate": 0.5, "eps_l": 1.0, "passed": False, "samples": 400}
+    bad = int((draws[:, 1] > 1.0).sum())
+    assert 0 < bad < 400
+    assert capsys.readouterr().err == f"check_assumption_bound: {bad} of 400 residual norms are not finite\n"
 
 
 def test_check_assumption_requires_samples():
@@ -415,7 +452,7 @@ def test_float_fields_match_array_fields_bit_for_bit(spec, to_array):
     for t, x, u in zip(ts.tolist(), xs, us):
         xf, uf = x.tolist(), u.tolist()
         got.append([spec.drift(xf, uf), spec.disturbance(t, xf, uf), spec.model_error(xf, uf),
-                    spec.predict_mean(x, u), spec.residual_error(t, xf, uf)])
+                    spec.predict_mean(x, u), np.subtract(spec.disturbance(t, xf, uf), spec.model_error(xf, uf))])
         want.append([ref.drift(x, u), ref.disturbance(t, x, u), ref.model_error(x, u),
                      ref.predict_mean(x, u), ref.residual_error(t, x, u)])
         got.append([spec.input_jacobian(xf, uf), spec.jacobian_u(x, u)])
