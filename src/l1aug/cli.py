@@ -433,20 +433,22 @@ def _compare_cell(cfg: CompareConfig, scenario: DisturbanceSpec, seed: int, use_
     return _train_loop(cfg, scenario, replace(cfg.loop, l1_train=use_l1, l1_test=use_l1), seed)[0]
 
 
+def _loop_cell(cfg: CompareConfig, scenario: DisturbanceSpec, seed: int, use_l1: bool) -> float:
+    """The value of one loop-mode cell: its record's final-window mean return."""
+    return _final_window_mean(_compare_cell(cfg, scenario, seed, use_l1), cfg.report_window)
+
+
 def _clean_model(cfg: CompareConfig, seed: int) -> Ensemble:
     """The model the loop trains for ``seed`` undisturbed and without augmentation, shared by the seed's deployments."""
     return _train_loop(cfg, DisturbanceSpec(), replace(cfg.loop, l1_train=False, l1_test=False), seed)[1]
 
 
-def _deploy_cell(cfg: CompareConfig, scenario: DisturbanceSpec, seed: int, use_l1: bool, model: Ensemble
-                 ) -> RunRecord:
-    """The ``loop.eval_episodes`` deployments of ``model`` under ``scenario``, recorded as iteration 10000."""
+def _deploy_cell(cfg: CompareConfig, scenario: DisturbanceSpec, seed: int, use_l1: bool, model: Ensemble) -> float:
+    """The value of one ``sim_to_real`` cell: the mean return of ``model``'s ``loop.eval_episodes`` deployments."""
     env, l1cfg, _ = _build_pieces(cfg)
-    record = RunRecord(n=env.n, m=env.m)
-    for ep in range(cfg.loop.eval_episodes):
-        rng = episode_rng(seed, 10_000, ep, PHASE_EVAL)
-        record.add_episode(PHASE_EVAL, 10_000, ep, seed, run_episode(env, scenario, model, cfg.mpc, l1cfg, use_l1, rng))
-    return record
+    results = (run_episode(env, scenario, model, cfg.mpc, l1cfg, use_l1, episode_rng(seed, 10_000, ep, PHASE_EVAL))
+               for ep in range(cfg.loop.eval_episodes))
+    return float(np.mean([result.episode_return for result in results]))
 
 
 def _compare_calls(cfg: CompareConfig) -> list[tuple]:
@@ -473,19 +475,15 @@ def _scenario_label(s: DisturbanceSpec) -> str:
     return "_".join(bits)
 
 
-def _emit_comparison(directory: Path, cfg: CompareConfig, records: list[RunRecord]) -> None:
-    """Write comparison.csv and meta.json; ``records`` are the first cells in ``_compare_calls`` order.
+def _emit_comparison(directory: Path, cfg: CompareConfig, values: list[float]) -> None:
+    """Write comparison.csv and meta.json; ``values`` are the first cells' values in ``_compare_calls`` order.
 
-    A cell's value is its final-window mean return, over every deployment
-    under ``sim_to_real``. A scenario gets its rows only when all of its
-    cells are in ``records``.
+    A scenario gets its rows only when all of its cells are in ``values``.
     """
-    window = 0 if cfg.sim_to_real else cfg.report_window
-    returns = [_final_window_mean(record, window) for record in records]
     rows = [["scenario", "arm", "mean_return", "std_return", "n_seeds", "l1_wins", "l1_losses", "sign_p"]]
     per_scenario = 2 * len(cfg.seeds)
-    for si, scenario in enumerate(cfg.scenarios[:len(returns) // per_scenario]):
-        cells = returns[si * per_scenario:(si + 1) * per_scenario]
+    for si, scenario in enumerate(cfg.scenarios[:len(values) // per_scenario]):
+        cells = values[si * per_scenario:(si + 1) * per_scenario]
         base, aug = cells[0::2], cells[1::2]  # each seed's baseline cell comes before its augmented one
         wins = sum(a > b for a, b in zip(aug, base))
         losses = sum(a < b for a, b in zip(aug, base))
@@ -511,10 +509,10 @@ def cmd_compare(config_path, seed_override, out_override):
 
     directory = out_dir(cfg.out)
 
-    def flush(records):
-        _emit_comparison(directory, cfg, records)
+    def flush(values):
+        _emit_comparison(directory, cfg, values)
 
-    fn, calls = _compare_cell, _compare_calls(cfg)
+    fn, calls = _loop_cell, _compare_calls(cfg)
     if cfg.sim_to_real:
         # Fit each seed's clean model once; a failed fit leaves no finished cell.
         models = _map_or_flush(_clean_model, [(cfg, seed) for seed in cfg.seeds], lambda _: flush([]))

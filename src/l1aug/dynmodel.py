@@ -142,6 +142,10 @@ class Ensemble:
         """
         return PlanningMap(self)
 
+    def __getstate__(self) -> dict:
+        """The float64 arrays without the cached planning map, which the receiver rebuilds from them."""
+        return {key: value for key, value in self.__dict__.items() if key != "planning_map"}
+
     def jacobian_u(self, x: Array, u: Array) -> Array:
         """Analytic (n, m) Jacobian of predict_mean with respect to u."""
         z = self.normalizer.norm_in(self._check(x, u))

@@ -358,14 +358,21 @@ _CATALOG: dict[str, Callable[..., EnvSpec]] = {
 
 
 def build_from_catalog(catalog: dict[str, Callable], name: str, kwargs: dict, kind: str, keys: str):
-    """``catalog[name](**kwargs)``, with an unknown name or keyword reported as a ConfigError."""
+    """``catalog[name](**kwargs)``; an unknown name or keyword, or a boolean for a float, is a ConfigError."""
     if name not in catalog:
         raise ConfigError(f"unknown {kind} {name!r}; expected one of {sorted(catalog)}")
     builder = catalog[name]
-    allowed = set(inspect.signature(builder).parameters)
-    unknown = set(kwargs) - allowed
+    params = inspect.signature(builder).parameters
+    unknown = set(kwargs) - set(params)
     if unknown:
-        raise ConfigError(f"{kind} {name}: unknown {keys} {sorted(unknown)}; allowed: {sorted(allowed)}")
+        raise ConfigError(f"{kind} {name}: unknown {keys} {sorted(unknown)}; allowed: {sorted(params)}")
+    for key, value in kwargs.items():
+        default = params[key].default
+        defaults = default if isinstance(default, tuple) else (default,)
+        values = value if isinstance(default, tuple) and isinstance(value, (list, tuple)) else (value,)
+        # Arithmetic would take YAML's true as 1; an integer default (horizon) has its own check.
+        if all(isinstance(d, float) for d in defaults) and any(isinstance(v, bool) for v in values):
+            raise ConfigError(f"{kind} {name}: {key} takes numbers, not booleans; got {value!r}")
     return builder(**kwargs)
 
 

@@ -24,7 +24,7 @@ estimate of a constant disturbance settles over a few samples instead.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +51,7 @@ class L1Config:
     as_diag: Array
     omega: float
     eps_a: float
+    gain: Array = field(init=False, repr=False, compare=False)  # adapt's -phi^-1 exp(As ts), per state
 
     def __post_init__(self):
         object.__setattr__(self, "as_diag", np.atleast_1d(np.asarray(self.as_diag, dtype=float)))
@@ -62,6 +63,8 @@ class L1Config:
             raise ValueError(f"L1Config: omega*ts = {self.omega * self.ts:g} outside (0, 2)")
         if not self.eps_a > 0:
             raise ValueError("L1Config: eps_a must be positive")
+        decay = np.exp(self.as_diag * self.ts)
+        object.__setattr__(self, "gain", -(decay / ((decay - 1.0) / self.as_diag)))
 
 
 def default_l1_config(n: int, ts: float, eps_a: float, as_value: float = -1.0, omega_factor: float = 0.35) -> L1Config:
@@ -93,9 +96,7 @@ def adapt(xtilde: Array, cfg: L1Config) -> Array:
     the uncertainty injected over the current interval. Linear in xtilde;
     output in state-units per second.
     """
-    xtilde = np.asarray(xtilde, dtype=float)
-    decay = np.exp(cfg.as_diag * cfg.ts)
-    return -(decay / ((decay - 1.0) / cfg.as_diag)) * xtilde
+    return cfg.gain * np.asarray(xtilde, dtype=float)
 
 
 def orthonormal_complement(h: Array) -> Array:

@@ -155,6 +155,9 @@ def test_cli_run_invalid_config_exits_1(tmp_path):
     ("run", {"disturbance": {"kind": "sinusoid_matched", "amplitude": 0.3}}),
     ("compare", {"loop": {"l1_train": False}}),
     ("run", {"ablation_grid": True, "loop": {"l1_test": False}}),
+    ("run", {"env": {"overrides": {"dt": True}}}),
+    ("verify", {"synthetic": {"params": {"eps_a": True}}}),
+    ("verify", {"synthetic": {"params": {"ts_grid": [True]}}}),
 ])
 def test_cli_invalid_value_is_config_error(tmp_path, command, data):
     # run and compare cases override sections of the tiny experiment key by key, so a
@@ -749,9 +752,9 @@ def test_cli_compare_sim_to_real_flushes_finished_scenarios_when_a_cell_raises(t
 
 @pytest.mark.parametrize("sim_to_real", [False, True], ids=["loop", "sim_to_real"])
 def test_cli_compare_means_are_the_cells_final_window_means(tmp_path, sim_to_real):
-    # Each arm's mean_return over one seed is the final-window mean of the record its
-    # cell returns. Under sim_to_real the window is every deployment, so
-    # report_window 1 against two deployments must not cut it.
+    # Each arm's mean_return over one seed is its cell's final-window mean. Under
+    # sim_to_real the window is every deployment, so report_window 1 against two
+    # deployments must not cut it.
     cfg_path = write_yaml(tmp_path / "c.yaml", {
         **TINY_EXPERIMENT, "name": "cmp", "scenarios": [{"kind": "action_noise", "sigma_a": 0.1}],
         "loop": {**TINY_EXPERIMENT["loop"], "eval_episodes": 2}, "report_window": 1, "sim_to_real": sim_to_real,
@@ -763,15 +766,39 @@ def test_cli_compare_means_are_the_cells_final_window_means(tmp_path, sim_to_rea
     cfg = resolve_config(load_config(CompareConfig, cfg_path))
     for arm, use_l1 in (("baseline", False), ("l1", True)):
         if sim_to_real:
-            record = cli._deploy_cell(cfg, cfg.scenarios[0], 0, use_l1, cli._clean_model(cfg, 0))
-            assert [(phase, iteration) for phase, iteration, *_ in record.episodes] == [("eval", 10_000)] * 2
-            expected = cli._final_window_mean(record, 0)
-            assert expected == np.mean(record.eval_returns[10_000])
+            env, l1cfg, _ = cli._build_pieces(cfg)
+            model = cli._clean_model(cfg, 0)
+            returns = [mbrl.run_episode(env, cfg.scenarios[0], model, cfg.mpc, l1cfg, use_l1,
+                                        mbrl.episode_rng(0, 10_000, ep, mbrl.PHASE_EVAL)).episode_return
+                       for ep in range(2)]
+            assert returns[0] != returns[1]
+            expected = float(np.mean(returns))
         else:
             record = cli._compare_cell(cfg, cfg.scenarios[0], 0, use_l1)
             expected = cli._final_window_mean(record, cfg.report_window)
             assert expected == record.eval_returns[1][-1]
         assert written[arm] == repr(expected)
+
+
+@pytest.mark.parametrize("sim_to_real", [False, True], ids=["loop", "sim_to_real"])
+def test_cli_compare_cells_hand_back_one_float_each(tmp_path, monkeypatch, sim_to_real):
+    # The parent holds each cell's value, not its record; under sim_to_real the
+    # only other map is the seeds' clean fits.
+    maps = []
+
+    def map_jobs(fn, calls, jobs):
+        results = list(pool.map_jobs(fn, calls, jobs))
+        maps.append((fn, results))
+        return iter(results)
+
+    monkeypatch.setattr(cli, "pool", SimpleNamespace(map_jobs=map_jobs, usable_cpus=pool.usable_cpus))
+    cfg = write_yaml(tmp_path / "c.yaml", {**TINY_SIM_TO_REAL, "sim_to_real": sim_to_real})
+    result = CliRunner().invoke(cli.main, ["compare", str(cfg), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    fn, values = maps.pop()
+    assert [fn for fn, _ in maps] == ([cli._clean_model] if sim_to_real else [])
+    assert fn is (cli._deploy_cell if sim_to_real else cli._loop_cell)
+    assert len(values) == 4 and all(type(value) is float for value in values)  # 2 scenarios x 1 seed x 2 arms
 
 
 COMPARE_CARTPOLE = Path(__file__).resolve().parents[1] / "configs" / "compare_cartpole.yaml"

@@ -1,6 +1,7 @@
 import concurrent.futures
 import ctypes
 import multiprocessing
+import pickle
 import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
@@ -570,6 +571,19 @@ def test_planning_map_alternating_row_counts_match_a_fresh_map(linear_ensemble):
     for xu in batches:
         assert np.array_equal(reused(xu), PlanningMap(trained)(xu))
     assert sorted(reused._full_biases) == [1, 16, 200]
+
+
+def test_a_pickled_ensemble_leaves_its_planning_map_behind(linear_ensemble):
+    # A worker receives the float64 arrays only and rebuilds the map from them.
+    trained, _ = linear_ensemble
+    trained = replace(trained)  # a copy with no map cached, whatever other tests planned with
+    xu = np.random.default_rng(13).uniform(-2, 2, (200, 3)).astype(np.float32)
+    unplanned = pickle.dumps(trained)
+    planned = trained.planning_map(xu)
+    copy = pickle.loads(pickle.dumps(trained))
+    assert "planning_map" in vars(trained) and "planning_map" not in vars(copy)
+    assert pickle.dumps(trained) == unplanned
+    assert copy.planning_map(xu).tobytes() == planned.tobytes()
 
 
 # --- Input Jacobian --------------------------------------------------------------

@@ -78,6 +78,17 @@ def test_adapt_scalar_closed_form():
     assert sigma[0] == pytest.approx(-0.095083, abs=1e-6)
 
 
+def test_adapt_is_the_inline_gain_expression_bit_for_bit():
+    # The config holds the gain; applying it must round as computing it per call did.
+    rng = np.random.default_rng(5)
+    for ts, n in ((0.005, 2), (0.04, 4), (0.1, 1), (0.05, 3)):
+        cfg = L1Config(ts=ts, as_diag=-rng.uniform(0.1, 5.0, n), omega=0.35 / ts, eps_a=0.1)
+        for xtilde in rng.normal(scale=rng.uniform(1e-6, 10.0, (20, 1)), size=(20, n)):
+            decay = np.exp(cfg.as_diag * cfg.ts)
+            inline = -(decay / ((decay - 1.0) / cfg.as_diag)) * xtilde
+            assert adapt(xtilde, cfg).tobytes() == inline.tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     xt=st.floats(-10, 10),
