@@ -30,7 +30,7 @@ import numpy as np
 import yaml
 
 from . import __version__, pool
-from .dynmodel import Ensemble, TrainOptions
+from .dynmodel import Ensemble, FitOptions, TrainOptions
 from .envsim import ConfigError, DisturbanceSpec, make_env
 from .l1core import default_l1_config
 from .mbrl import PHASE_EVAL, LoopConfig, MpcConfig, RunRecord, episode_rng, run_episode, train_loop
@@ -49,8 +49,9 @@ EPS_A_DEFAULTS = {"cartpole": 1.0, "pendulum": 0.3, "double_integrator": 0.3}
 
 # --- Config schema ----------------------------------------------------------
 #
-# The disturbance, mpc and loop sections are the library's own dataclasses, so
-# the loader checks their values with the same rules the library applies.
+# The disturbance, mpc and loop sections are the library's own dataclasses and
+# the model section inherits its training settings from FitOptions, so the
+# loader checks their values with the same rules the library applies.
 
 
 @dataclass
@@ -59,18 +60,12 @@ class EnvSection:
     overrides: dict = field(default_factory=dict)
 
 
-@dataclass
-class ModelSection:
-    """Ensemble shape plus the TrainOptions fields a config may set (not the seed)."""
+@dataclass(frozen=True)
+class ModelSection(FitOptions):
+    """Ensemble shape plus the training settings a config may set (not the seed)."""
 
     members: int = 3
     hidden: list[int] = field(default_factory=lambda: [64, 64])
-    lr: float = 1e-3
-    batch_size: int = 64
-    max_epochs: int = 150
-    patience: int = 10
-    val_fraction: float = 0.2
-    min_rows: int = 64
 
     def __post_init__(self):
         if self.members < 1 or not all(isinstance(w, int) and w >= 1 for w in self.hidden):
@@ -208,10 +203,8 @@ def _build_pieces(cfg: ExperimentConfig):
         env = make_env(cfg.env.name, cfg.env.overrides)
     with _config_section("l1"):
         l1cfg = default_l1_config(env.n, env.dt, cfg.l1.eps_a, cfg.l1.as_value, cfg.l1.omega_factor)
-    m = cfg.model
     with _config_section("model"):
-        opts = TrainOptions(lr=m.lr, batch_size=m.batch_size, max_epochs=m.max_epochs, patience=m.patience,
-                            val_fraction=m.val_fraction, min_rows=m.min_rows)
+        opts = TrainOptions(**{f.name: getattr(cfg.model, f.name) for f in dataclasses.fields(FitOptions)})
     first_rows = cfg.loop.episodes_per_iteration * env.horizon
     if cfg.loop.iterations and first_rows < opts.min_rows:
         raise ConfigError(
@@ -227,6 +220,11 @@ def _train_loop(cfg: ExperimentConfig, dist: DisturbanceSpec, loop: LoopConfig, 
     env, l1cfg, opts = _build_pieces(cfg)
     return train_loop(env, dist, loop, cfg.mpc, l1cfg, train_opts=opts, members=cfg.model.members,
                       hidden=tuple(cfg.model.hidden), seed=seed)
+
+
+def _run_cell(cfg: ExperimentConfig, dist: DisturbanceSpec, loop: LoopConfig, seed: int) -> RunRecord:
+    """The record of one seed's loop; its model stays in the worker, since nothing writes it."""
+    return _train_loop(cfg, dist, loop, seed)[0]
 
 
 def resolve_config(cfg: ExperimentConfig, seed_override: tuple[int, ...] = (), out_override: str | None = None):
@@ -366,10 +364,10 @@ def cmd_run(config_path, seed_override, out_override):
     for sub in _grid_variants(cfg) if cfg.ablation_grid else [cfg]:
         directory = out_dir(sub.out)
 
-        def flush(results):
-            _emit_run_outputs(directory, sub, [record for record, _ in results])
+        def flush(records):
+            _emit_run_outputs(directory, sub, records)
 
-        flush(_map_or_flush(_train_loop, [(sub, sub.disturbance, sub.loop, seed) for seed in sub.seeds], flush))
+        flush(_map_or_flush(_run_cell, [(sub, sub.disturbance, sub.loop, seed) for seed in sub.seeds], flush))
         click.echo(f"wrote {directory}")
     sys.exit(EXIT_OK)
 
@@ -430,7 +428,7 @@ def _final_window_mean(record: RunRecord, window: int) -> float:
 
 def _compare_cell(cfg: CompareConfig, scenario: DisturbanceSpec, seed: int, use_l1: bool) -> RunRecord:
     """The record of one (scenario, seed, arm) loop-mode cell: the loop run with both flags set to ``use_l1``."""
-    return _train_loop(cfg, scenario, replace(cfg.loop, l1_train=use_l1, l1_test=use_l1), seed)[0]
+    return _run_cell(cfg, scenario, replace(cfg.loop, l1_train=use_l1, l1_test=use_l1), seed)
 
 
 def _loop_cell(cfg: CompareConfig, scenario: DisturbanceSpec, seed: int, use_l1: bool) -> float:

@@ -251,13 +251,19 @@ class TransitionDataset:
 
 
 @dataclass(frozen=True)
-class TrainOptions:
+class FitOptions:
+    """The training settings a config may set; ``TrainOptions`` adds the seed and checks them."""
+
     lr: float = 1e-3
     batch_size: int = 64
     max_epochs: int = 150
     patience: int = 10
     val_fraction: float = 0.2
     min_rows: int = 64
+
+
+@dataclass(frozen=True)
+class TrainOptions(FitOptions):
     seed: int = 0
 
     def __post_init__(self):

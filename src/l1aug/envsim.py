@@ -251,6 +251,13 @@ def _box(*vals: float) -> Array:
     return np.asarray(vals, dtype=float)
 
 
+def _require_positive(env: str, **constants: float) -> None:
+    """A ConfigError unless every constant, a mass or a length, is finite and > 0."""
+    for key, value in constants.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"env {env}: {key} must be finite and > 0, got {value!r}")
+
+
 def _double_integrator_drift(x, u):
     return (x[1], u[0])
 
@@ -293,6 +300,7 @@ def pendulum(
     mass: float = 1.0,
 ) -> EnvSpec:
     """Pendulum regulated at the hanging equilibrium: th'' = -(g/l) sin th + u/(m l^2)."""
+    _require_positive("pendulum", length=length, mass=mass)
     return EnvSpec(
         name="pendulum", n=2, m=1, dt=dt, horizon=horizon,
         drift=functools.partial(_pendulum_drift, gravity / length, 1.0 / (mass * length**2)),
@@ -340,6 +348,7 @@ def cartpole(
     quadratic cost, sized so staying inside the state box always beats an
     early exit.
     """
+    _require_positive("cartpole", cart_mass=cart_mass, pole_mass=pole_mass, pole_length=pole_length)
     return EnvSpec(
         name="cartpole", n=4, m=1, dt=dt, horizon=horizon,
         drift=functools.partial(_cartpole_drift, gravity, pole_length, pole_mass, cart_mass + pole_mass,

@@ -158,6 +158,9 @@ def test_cli_run_invalid_config_exits_1(tmp_path):
     ("run", {"env": {"overrides": {"dt": True}}}),
     ("verify", {"synthetic": {"params": {"eps_a": True}}}),
     ("verify", {"synthetic": {"params": {"ts_grid": [True]}}}),
+    ("run", {"env": {"name": "pendulum", "overrides": {"mass": 0.0}}}),
+    ("run", {"env": {"name": "pendulum", "overrides": {"length": -1.0}}}),
+    ("run", {"env": {"name": "cartpole", "overrides": {"cart_mass": -0.1}}}),
 ])
 def test_cli_invalid_value_is_config_error(tmp_path, command, data):
     # run and compare cases override sections of the tiny experiment key by key, so a
@@ -801,6 +804,24 @@ def test_cli_compare_cells_hand_back_one_float_each(tmp_path, monkeypatch, sim_t
     assert len(values) == 4 and all(type(value) is float for value in values)  # 2 scenarios x 1 seed x 2 arms
 
 
+def test_cli_run_seeds_hand_back_their_records_only(tiny_run_cfg, tmp_path, monkeypatch):
+    # run writes no model, so a seed's worker sends back its record and keeps its ensemble.
+    maps = []
+
+    def map_jobs(fn, calls, jobs):
+        results = list(pool.map_jobs(fn, calls, jobs))
+        maps.append((fn, results))
+        return iter(results)
+
+    monkeypatch.setattr(cli, "pool", SimpleNamespace(map_jobs=map_jobs, usable_cpus=pool.usable_cpus))
+    result = CliRunner().invoke(cli.main, ["run", str(tiny_run_cfg), "--out", str(tmp_path / "out"), "-s", "0",
+                                           "-s", "1"])
+    assert result.exit_code == 0, result.output
+    ((fn, records),) = maps
+    assert fn is cli._run_cell
+    assert len(records) == 2 and all(type(record) is mbrl.RunRecord for record in records)
+
+
 COMPARE_CARTPOLE = Path(__file__).resolve().parents[1] / "configs" / "compare_cartpole.yaml"
 
 
@@ -823,6 +844,15 @@ def test_compare_cartpole_resolves_to_the_criterion_9_pieces():
     assert (cfg.model.members, cfg.model.hidden) == (3, [64, 64])
     assert cfg.report_window == cfg.loop.eval_episodes
     assert cfg.seeds[:5] == [0, 1, 2, 3, 4]
+
+
+def test_model_section_passes_every_training_setting_through():
+    # Each of the six settings differs from its default, so a dropped or swapped one shows.
+    settings = {"lr": 3e-3, "batch_size": 17, "max_epochs": 9, "patience": 4, "val_fraction": 0.3, "min_rows": 50}
+    assert all(getattr(TrainOptions(), key) != value for key, value in settings.items())
+    cfg = resolve_config(_from_dict(RunConfig, {**TINY_EXPERIMENT, "model": {"members": 2, **settings}}))
+    assert cli._build_pieces(cfg)[2] == TrainOptions(**settings)
+    assert dataclasses.asdict(cfg)["model"] == {"members": 2, "hidden": [64, 64], **settings}
 
 
 def test_cli_out_root_env_var(tiny_run_cfg, tmp_path):

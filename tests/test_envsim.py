@@ -273,6 +273,27 @@ def test_non_integer_horizon_rejected(horizon):
         make_env("double_integrator", {"horizon": horizon})
 
 
+@pytest.mark.parametrize("name, overrides", [
+    ("pendulum", {"mass": 0.0}),
+    ("pendulum", {"length": -1.0}),
+    ("pendulum", {"mass": -1.0}),
+    ("pendulum", {"length": float("inf")}),
+    ("cartpole", {"cart_mass": -0.1}),
+    ("cartpole", {"pole_length": 0.0}),
+    ("cartpole", {"pole_mass": float("nan")}),
+])
+def test_non_positive_mass_or_length_rejected(name, overrides):
+    # The dynamics divide by these constants, and a negative mass flips the input gain's sign.
+    (key,) = overrides
+    with pytest.raises(ConfigError, match=f"{key} must be finite and > 0"):
+        make_env(name, overrides)
+
+
+def test_gravity_may_take_any_sign():
+    assert make_env("pendulum", {"gravity": -9.81}).name == "pendulum"
+    assert make_env("cartpole", {"gravity": 0.0}).name == "cartpole"
+
+
 def test_deterministic_without_noise():
     env = make_env("pendulum")
     x = np.array([0.4, -0.1])
